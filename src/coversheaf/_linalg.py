@@ -85,51 +85,50 @@ def float_rank(matrix, tol: float = 1e-9) -> int:
     return int(np.sum(s > tol))
 
 
-def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals.
+def _subtract(target: dict[int, Fraction], factor: Fraction,
+              row: dict[int, Fraction]) -> None:
+    """In place ``target -= factor * row`` on sparse rows, dropping zeros."""
+    for c, v in row.items():
+        nv = target.get(c, 0) - factor * v
+        if nv:
+            target[c] = nv
+        else:
+            target.pop(c, None)
 
-    Returns the reduced rows and the list of pivot column indices.
+
+def nullspace_basis(matrix) -> list[dict[int, Fraction]]:
+    """Exact rational basis of the right null space of an integer matrix.
+
+    Sparse Gauss-Jordan elimination over the rationals keeps the reduced
+    row echelon form as one row per pivot column: each row has a 1 at
+    its pivot, which is its smallest column, and a 0 at every other
+    pivot column, so the rows are exactly those of the unique RREF.
+    The basis is the canonical one in increasing free-column order:
+    vec[f] = 1 and vec[p] = -rref[p][f] at each pivot column p.  Each
+    vector is a ``{column: Fraction}`` dict sorted by column, with
+    zero entries omitted.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
+    rows = _to_rows(matrix)
+    ncols = np.shape(matrix)[1]
+    rref: dict[int, dict[int, Fraction]] = {}  # pivot column -> reduced row
+    for int_row in rows:
+        row = {c: Fraction(v) for c, v in int_row.items()}
+        # reduced rows are zero at each other's pivots: one pass clears all
+        for p in [c for c in row if c in rref]:
+            _subtract(row, row[p], rref[p])
+        if not row:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def nullspace_basis(matrix) -> list[list[Fraction]]:
-    """Exact rational basis of the right null space of an integer matrix."""
-    a = np.asarray(matrix)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    nrows, ncols = a.shape
-    if ncols == 0:
-        return []
-    rows = [[Fraction(int(a[r, c])) for c in range(ncols)] for r in range(nrows)]
-    rref, pivots = fraction_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][f]
-        basis.append(vec)
-    return basis
+        pcol = min(row)
+        pval = row[pcol]
+        row = {c: v / pval for c, v in row.items()}
+        for other in rref.values():
+            f = other.get(pcol)
+            if f is not None:
+                _subtract(other, f, row)
+        rref[pcol] = row
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in rref}
+    for p, row in rref.items():
+        for c, v in row.items():
+            if c != p:
+                basis[c][p] = -v
+    return [dict(sorted(vec.items())) for vec in basis.values()]

@@ -194,8 +194,7 @@ def forward(net: Network, x, deviation: Deviation | None = None) -> ForwardResul
 
     ``x`` concatenates the fiber vectors of the marked points in point
     order.  Stage 0 values are x_i + nu_i(x_i).  A batch of inputs may
-    be passed as shape (batch, input_dim) when every layer op is
-    batch-safe (inclusion layers and reducers are; attention is not).
+    be passed as shape (batch, input_dim); attention runs row by row.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != net.input_dim or x.ndim not in (1, 2):
@@ -256,23 +255,26 @@ def factors_check(layer: Layer, n_samples: int = 100, tol: float = 1e-9,
     """Extensional check that a layer factors through inclusions.
 
     Compares the layer's direct action against the symbolically
-    composed sections at seeded random inputs.  Raises TypeError for
-    general layers, where the decomposition is not declared.
+    composed sections on one seeded block of random inputs.  Raises
+    TypeError for general layers, where the decomposition is not
+    declared, and ValueError when n_samples is below 1.
     """
     if not isinstance(layer, InclusionLayer):
         raise TypeError("factors_check applies to inclusion layers only")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     dims = layer_input_dims(layer)
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     sections = composed_layer_sections(layer)
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((n_samples, int(offsets[-1])))
+    values = [samples[:, int(offsets[a]):int(offsets[a + 1])]
+              for a in range(len(dims))]
+    direct = layer.apply(values)
     dev = 0.0
-    for row in samples:
-        values = [row[int(offsets[a]):int(offsets[a + 1])] for a in range(len(dims))]
-        direct = layer.apply(values)
-        for b, sec in enumerate(sections):
-            composed = evaluate(sec, row)
-            dev = max(dev, float(np.max(np.abs(direct[b] - composed))))
+    for b, sec in enumerate(sections):
+        composed = evaluate(sec, samples)
+        dev = max(dev, float(np.max(np.abs(direct[b] - composed))))
     return FactorsCheckResult(factors=dev <= tol, max_deviation=dev)
 
 
@@ -607,6 +609,10 @@ class MultiHeadAttentionOp:
         return out
 
     def __call__(self, values: Sequence[np.ndarray]) -> np.ndarray:
+        if np.ndim(values[0]) == 2:
+            # a batch of token values: attend within each input row
+            return np.stack([self([v[i] for v in values])
+                             for i in range(len(values[0]))])
         _, headvals = self._split(values)
         attn = self.attention_weights(values)
         zs = []

@@ -145,21 +145,29 @@ class Max(Node):
         object.__setattr__(self, "children", tuple(self.children))
 
 
-def node_width(node: Node) -> int:
+def node_width(node: Node, memo: dict[int, int] | None = None) -> int:
+    if memo is None:
+        memo = {}
+    key = id(node)
+    if key in memo:
+        return memo[key]
     if isinstance(node, Coords):
-        return len(node.indices)
-    if isinstance(node, Const):
-        return len(node.values)
-    if isinstance(node, Affine):
-        return len(node.matrix)
-    if isinstance(node, Activation):
-        return node_width(node.child)
-    if isinstance(node, (Product, Sum, Max)):
-        widths = {node_width(c) for c in node.children}
+        out = len(node.indices)
+    elif isinstance(node, Const):
+        out = len(node.values)
+    elif isinstance(node, Affine):
+        out = len(node.matrix)
+    elif isinstance(node, Activation):
+        out = node_width(node.child, memo)
+    elif isinstance(node, (Product, Sum, Max)):
+        widths = {node_width(c, memo) for c in node.children}
         if len(widths) != 1:
             raise ValueError("children of product/sum/max must share a width")
-        return widths.pop()
-    raise TypeError(f"unknown node type {type(node).__name__}")
+        out = widths.pop()
+    else:
+        raise TypeError(f"unknown node type {type(node).__name__}")
+    memo[key] = out
+    return out
 
 
 def _max_index(node: Node, memo: dict[int, int]) -> int:

@@ -108,7 +108,10 @@ def test_rank_cross_check_agrees():
 def test_nullspace_basis_exact():
     basis = nullspace_basis([[1, 1, 0, 0], [0, 0, 1, 1]])
     assert len(basis) == 2
-    arr = np.array([[float(v) for v in vec] for vec in basis])
+    arr = np.zeros((len(basis), 4))
+    for i, vec in enumerate(basis):
+        for c, v in vec.items():
+            arr[i, c] = float(v)
     assert not (np.array([[1, 1, 0, 0], [0, 0, 1, 1]]) @ arr.T).any()
     assert nullspace_basis([[1, 0], [0, 1]]) == []
 

@@ -126,6 +126,25 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert strip_timestamp(out.read_text()) == strip_timestamp(stdout)
 
 
+BAD_ATTACK_ARGS = [
+    ["--p", "0"], ["--p", "0.5"], ["--p", "nan"], ["--delta", "inf"],
+    ["--delta", "nan"], ["--delta", "-1"], ["--delta", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "thm4.2", "--net", SUMPOOL] + bad
+    for bad in BAD_ATTACK_ARGS + [["--layer", "5"], ["--layer", "-1"]]
+] + [["demo", "cnn"] + bad for bad in BAD_ATTACK_ARGS])
+def test_out_of_range_attack_arguments_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["cohomology", "--cover", TWO],
     ["witness", "thm4.2", "--net", SUMPOOL, "--seed", "7"],

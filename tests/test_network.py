@@ -73,6 +73,28 @@ def test_factors_check_inclusion_layers():
         assert res.factors and res.max_deviation <= 1e-9
 
 
+def test_factors_check_batch_matches_row_loop():
+    net = build_cnn(8, seed=1)
+    for layer in net.layers:
+        dims = [s.domain_dim for s in layer.phi]
+        offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+        sections = composed_layer_sections(layer)
+        samples = np.random.default_rng(4).standard_normal(
+            (20, int(offsets[-1])))
+        loop_dev = 0.0
+        for row in samples:
+            direct = layer.apply([row[offsets[a]:offsets[a + 1]]
+                                  for a in range(len(dims))])
+            for b, sec in enumerate(sections):
+                loop_dev = max(loop_dev, float(np.max(np.abs(
+                    direct[b] - evaluate(sec, row)))))
+        res = factors_check(layer, n_samples=20, seed=4)
+        assert res.factors and loop_dev <= 1e-12
+        assert res.max_deviation <= 1e-12
+    with pytest.raises(ValueError):
+        factors_check(net.layers[0], n_samples=0)
+
+
 def test_factors_check_rejects_general_layers():
     net = build_cnn(4, plan=[{"kind": "pool", "mode": "max", "block": 2},
                              {"kind": "fc", "out_dim": 1,
@@ -180,6 +202,15 @@ def test_attention_matches_textbook_computation():
         zs.append(a @ V)
     want = (np.hstack(zs) @ np.array(op.w_z)).reshape(-1)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_batched_attention_forward_matches_loop():
+    net = build_attention(3, 4, heads=2, head_dim=2, seed=5)
+    xs = np.random.default_rng(6).standard_normal((4, net.input_dim))
+    batched = forward(net, xs).output
+    single = np.stack([forward(net, x).output for x in xs])
+    assert batched.shape == single.shape
+    assert np.max(np.abs(batched - single)) <= 1e-12
 
 
 def test_zero_qk_attention_is_uniform_average():

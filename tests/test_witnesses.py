@@ -9,8 +9,8 @@ from coversheaf.topology import MarkedSpace, OpenSet, make_cover, nerve
 from coversheaf.sections import (affine_section, evaluate,
                                  polynomial_coefficients, polynomial_section,
                                  product_counterexample)
-from coversheaf.network import (build_cnn, build_sequential, forward,
-                                network_from_json)
+from coversheaf.network import (build_attention, build_cnn, build_sequential,
+                                forward, network_from_json)
 from coversheaf.witnesses import (AttackSpec, IncompatibleLocalsError,
                                   KernelPremiseError, WitnessReport,
                                   adversarial_attack, classify_activation,
@@ -198,6 +198,69 @@ def test_attack_rejects_unsuitable_layers():
     # layer 0 maps 4 singletons to 4 prefixes: not strictly shrinking
     with pytest.raises(ValueError):
         adversarial_attack(seq, 0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"layer_index": 2}, {"layer_index": -1},
+    {"p": 0.0}, {"p": 0.5}, {"p": float("inf")}, {"p": float("nan")},
+    {"delta": 0.0}, {"delta": -1.0}, {"delta": float("inf")},
+    {"delta": float("nan")}, {"n_inputs": 0},
+])
+def test_attack_rejects_bad_arguments(kwargs):
+    net = network_from_json("fixtures/sumpool.json")
+    args = {"layer_index": 0, **kwargs}
+    with pytest.raises(ValueError):
+        adversarial_attack(net, **args)
+
+
+def _shared_dag_section(weight: float, sums: int) -> dict:
+    """x -> 2^sums * weight * x, where every node above the affine leaf
+    is Sum(prev, prev): sums + 2 nodes, 2^sums paths from root to leaf."""
+    nodes = [{"id": 0, "kind": "coords", "indices": [0]},
+             {"id": 1, "kind": "affine", "matrix": [[weight]], "bias": [0.0],
+              "child": 0}]
+    for i in range(1, sums + 1):
+        nodes.append({"id": i + 1, "kind": "sum", "children": [i, i]})
+    return {"domain_dim": 1, "codomain_dim": 1, "root": len(nodes) - 1,
+            "nodes": nodes}
+
+
+def test_attack_on_a_60_node_shared_dag_network():
+    sums = 58
+    weights = [1.0, -0.5, 2.0, 0.25]
+    doc = {
+        "schema": 1,
+        "space": {"n_points": 4, "fiber_dims": [1] * 4,
+                  "structure": {"kind": "abstract"}},
+        "stages": [[[1], [2], [3], [4]], [[1, 2], [3, 4]], [[1, 2, 3, 4]]],
+        "layers": [
+            {"kind": "inclusion", "aggregation": [[0, 1], [2, 3]],
+             "out_dim": 1, "activation": "identity",
+             "phi": [_shared_dag_section(w * 2.0 ** -sums, sums)
+                     for w in weights]},
+            {"kind": "inclusion", "aggregation": [[0, 1]], "out_dim": 1,
+             "activation": "identity",
+             "phi": [{"matrix": [[1.0]]}, {"matrix": [[3.0]]}]},
+        ],
+    }
+    net = network_from_json(doc)
+    assert len(doc["layers"][0]["phi"][0]["nodes"]) == 60
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    want = (1.0 * 1 - 0.5 * 2) + 3 * (2.0 * 3 + 0.25 * 4)
+    assert forward(net, x).output == pytest.approx([want])
+    spec, rep = adversarial_attack(net, 0, delta=4.0, seed=1)
+    assert rep.verdict
+    assert rep.measured["null_space_dim"] == 2
+    assert spec.displacement() > 4.0
+
+
+def test_attack_on_the_token_layer_of_an_attention_network():
+    # the verification batch runs through the attention layer as well
+    net = build_attention(3, 4, heads=2, head_dim=2)
+    spec, rep = adversarial_attack(net, 0, delta=5.0, seed=2)
+    assert rep.verdict
+    assert rep.measured["null_space_dim"] == 12 - 3
+    assert spec.displacement() > 5.0
 
 
 def test_classify_activation():
