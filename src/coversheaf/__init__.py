@@ -20,16 +20,15 @@ from .sections import (ACTIVATIONS, Activation, Section, affine_section,
                        product_counterexample, projection_map,
                        sections_equal, slot_layout, zero_pad_map,
                        zero_section)
-from .cech import (CechComplex, ExactnessReport, HomSpace,
-                   build_cech_complex, cech_cohomology, flasque_check,
-                   hom_report_json, rank_cross_check, restriction_matrix,
-                   sheaf_axiom_check)
+from .cech import (CechComplex, ExactnessReport, build_cech_complex,
+                   cech_cohomology, flasque_check, hom_report_json,
+                   rank_cross_check, restriction_matrix, sheaf_axiom_check)
 from .network import (Deviation, ForwardResult, GeneralLayer,
                       InclusionLayer, MultiHeadAttentionOp, Network,
-                      Reducer, affine_aggregation_residual, build_attention,
-                      build_cnn, build_rnn_cover, build_sequential,
-                      composed_layer_sections, factors_check, forward,
-                      linear_matrix, network_from_json, network_to_json,
+                      Reducer, build_attention, build_cnn, build_rnn_cover,
+                      build_sequential, composed_layer_sections,
+                      factors_check, forward, linear_matrix,
+                      network_from_json, network_to_json,
                       positional_encoding)
 from .witnesses import (AttackSpec, IncompatibleLocalsError,
                         KernelPremiseError, WitnessReport,

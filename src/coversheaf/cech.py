@@ -26,23 +26,6 @@ from .topology import Cover, OpenSet
 from .sections import open_set_dim, slot_layout
 
 
-@dataclass(frozen=True)
-class HomSpace:
-    """The space of linear sections over an open set: k x d_U matrices."""
-
-    open_set: OpenSet
-    fibers: tuple[int, ...]
-    k: int
-
-    @property
-    def d(self) -> int:
-        return open_set_dim(self.open_set.members, self.fibers)
-
-    @property
-    def dim(self) -> int:
-        return self.k * self.d
-
-
 def restriction_matrix(big: OpenSet, small: OpenSet, fibers: Sequence[int],
                        k: int) -> np.ndarray:
     """Matrix of Hom(R^{d_big}, R^k) -> Hom(R^{d_small}, R^k).
@@ -149,10 +132,14 @@ def cech_cohomology(cover: Cover, fibers: Sequence[int], k: int,
 
     h^q = dim ker(delta_q) - rank(delta_{q-1}).
     """
-    cx = build_cech_complex(cover, fibers, k, max_degree)
+    return _cohomology(build_cech_complex(cover, fibers, k, max_degree))
+
+
+def _cohomology(cx: CechComplex) -> list[int]:
+    """h^0..h^max_degree of a complex built up to C^{max_degree+1}."""
     ranks = [exact_rank(d) if d.size else 0 for d in cx.coboundaries]
     out = []
-    for q in range(max_degree + 1):
+    for q in range(len(ranks)):
         ker = cx.dims[q] - ranks[q]
         im = ranks[q - 1] if q > 0 else 0
         out.append(ker - im)

@@ -28,7 +28,7 @@ import numpy as np
 from .topology import (CoverSequence, MarkedSpace, check_na_axioms,
                        global_stage, load_space_document, make_cover,
                        singleton_stage)
-from .cech import build_cech_complex, cech_cohomology, hom_report_json, \
+from .cech import _cohomology, build_cech_complex, hom_report_json, \
     sheaf_axiom_check
 from .network import (InclusionLayer, build_attention, build_cnn,
                       build_sequential, factors_check, forward,
@@ -122,9 +122,9 @@ def _cmd_cohomology(args) -> tuple[list[dict], dict]:
     fibers = space.fiber_dims
     reports: list[dict] = []
     for i, cover in enumerate(covers):
-        h = cech_cohomology(cover, fibers, args.k, max_degree=args.depth)
         cx = build_cech_complex(cover, fibers, args.k, args.depth)
-        entry = hom_report_json(i, h, list(cx.dims[:args.depth + 1]))
+        entry = hom_report_json(i, _cohomology(cx),
+                                list(cx.dims[:args.depth + 1]))
         entry.update(kind="cohomology", ok=entry["exact"])
         ex = sheaf_axiom_check(cover, fibers, args.k)
         reports.append(entry)
@@ -268,6 +268,25 @@ _HANDLERS = {
 }
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_COUNT = _int_at_least(1)
+_DEPTH = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
@@ -275,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None,
                         help="numerical tolerance (default 1e-9; "
                              "1e-6 for dataset dependency)")
-    common.add_argument("--samples", type=int, default=100,
+    common.add_argument("--samples", type=_COUNT, default=100,
                         help="extensional sample count")
     common.add_argument("--out", type=str, default=None,
                         help="also write the JSON report to this path")
@@ -296,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", parents=[common],
                        help="cochain ranks and exactness per cover")
     p.add_argument("--cover", required=True, help="JSON space document")
-    p.add_argument("--k", type=int, default=1, help="codomain dimension")
-    p.add_argument("--depth", type=int, default=1,
+    p.add_argument("--k", type=_COUNT, default=1, help="codomain dimension")
+    p.add_argument("--depth", type=_DEPTH, default=1,
                    help="largest cohomology degree reported")
 
     p = sub.add_parser("witness", parents=[common],
@@ -307,20 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", default=None,
                    help="JSON space document (first cover is used)")
     p.add_argument("--net", default=None, help="network JSON file")
-    p.add_argument("--k", type=int, default=1, help="codomain dimension")
+    p.add_argument("--k", type=_COUNT, default=1, help="codomain dimension")
     p.add_argument("--layer", type=int, default=0,
                    help="attacked layer index (thm4.2)")
     p.add_argument("--p", type=float, default=2.0, help="displacement norm")
     p.add_argument("--delta", type=float, default=1.0,
                    help="required displacement")
-    p.add_argument("--grid", type=int, default=10_000,
+    p.add_argument("--grid", type=_COUNT, default=10_000,
                    help="input probe count (thm4.3)")
 
     p = sub.add_parser("wl-compare", parents=[common],
                        help="compare unfolding-tree code histograms")
     p.add_argument("first", help="graph file (JSON or edge list)")
     p.add_argument("second", help="graph file (JSON or edge list)")
-    p.add_argument("--depth", type=int, default=4, help="unfolding depth")
+    p.add_argument("--depth", type=_DEPTH, default=4, help="unfolding depth")
 
     p = sub.add_parser("demo", parents=[common],
                        help="build an example network and run its suite")
@@ -328,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0, help="displacement norm")
     p.add_argument("--delta", type=float, default=1.0,
                    help="required displacement")
-    p.add_argument("--grid", type=int, default=10_000,
+    p.add_argument("--grid", type=_COUNT, default=10_000,
                    help="input probe count for dataset dependency")
     return ap
 

@@ -65,9 +65,6 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Apply a node permutation (node i becomes perm[i])."""

@@ -278,48 +278,14 @@ def factors_check(layer: Layer, n_samples: int = 100, tol: float = 1e-9,
     return FactorsCheckResult(factors=dev <= tol, max_deviation=dev)
 
 
-def affine_aggregation_residual(layer: Layer, n_samples: int = 200,
-                                seed: int = 0) -> float:
-    """Best-fit residual of the layer by sums of affine per-input maps.
-
-    Fits out_beta ~ sum_alpha A_alpha v_alpha + b by least squares on
-    seeded random data and returns the max absolute residual.  Large
-    residuals certify that no affine-phi sum decomposition exists.
-    """
-    dims = [len(slot_layout(el.members, layer.input_cover.space.fiber_dims)) and
-            sum(layer.input_cover.space.fiber_dims[p - 1] for p in el.members)
-            for el in layer.input_cover.elements]
-    # for general layers the natural value dim is unknown; probe with the
-    # element coordinate dims unless the layer declares phi domains
-    if isinstance(layer, InclusionLayer):
-        dims = layer_input_dims(layer)
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    total = int(offsets[-1])
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n_samples, total))
-    design = np.hstack([X, np.ones((n_samples, 1))])
-    worst = 0.0
-    for b, atuple in enumerate(layer.aggregation):
-        rows = []
-        for r in range(n_samples):
-            values = [X[r, int(offsets[a]):int(offsets[a + 1])]
-                      for a in range(len(dims))]
-            rows.append(layer.apply(values)[b])
-        Y = np.stack(rows)
-        coef, *_ = np.linalg.lstsq(design, Y, rcond=None)
-        resid = design @ coef - Y
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
-
-
 def linear_matrix(net: Network) -> np.ndarray:
     """End-to-end matrix of a purely linear network.
 
     Requires every layer to be an InclusionLayer with identity
     activation and linear phi (affine with zero bias).  The result is
     checked elsewhere against the forward loop; here the blocks are
-    assembled by exact matrix composition of the per-layer
-    LinearSection data.
+    assembled by exact matrix composition of the per-layer phi
+    coefficients.
     """
     from .sections import polynomial_coefficients
 

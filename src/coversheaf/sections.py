@@ -25,13 +25,13 @@ set evaluates a section at the zero vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .topology import MarkedSpace, OpenSet
+from .topology import OpenSet
 
 
 # ---------------------------------------------------------------------------
@@ -145,66 +145,72 @@ class Max(Node):
         object.__setattr__(self, "children", tuple(self.children))
 
 
-def node_width(node: Node, memo: dict[int, int] | None = None) -> int:
-    if memo is None:
-        memo = {}
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    if isinstance(node, Coords):
-        out = len(node.indices)
-    elif isinstance(node, Const):
-        out = len(node.values)
-    elif isinstance(node, Affine):
-        out = len(node.matrix)
-    elif isinstance(node, Activation):
-        out = node_width(node.child, memo)
-    elif isinstance(node, (Product, Sum, Max)):
-        widths = {node_width(c, memo) for c in node.children}
-        if len(widths) != 1:
-            raise ValueError("children of product/sum/max must share a width")
-        out = widths.pop()
-    else:
-        raise TypeError(f"unknown node type {type(node).__name__}")
-    memo[key] = out
-    return out
-
-
-def _max_index(node: Node, memo: dict[int, int]) -> int:
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    if isinstance(node, Coords):
-        out = max(node.indices, default=-1)
-    elif isinstance(node, Const):
-        out = -1
-    elif isinstance(node, (Affine, Activation)):
-        out = _max_index(node.child, memo)
-    else:
-        out = max(_max_index(c, memo) for c in node.children)
-    memo[key] = out
-    return out
-
-
 @dataclass(frozen=True)
 class Section:
     """A map R^{domain_dim} -> R^{codomain_dim} given by an expression DAG.
 
     ``domain`` optionally records the open set whose coordinate space
     the domain is; it is bookkeeping only and never affects evaluation.
+    ``nodes`` lists the distinct DAG nodes children first (in order of
+    first visit, children left to right, so ``body`` comes last); every
+    operation on the DAG is one loop over it.
     """
 
     domain_dim: int
     codomain_dim: int
     body: Node
     domain: OpenSet | None = None
+    nodes: tuple[Node, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = node_width(self.body)
+        nodes: list[Node] = []
+        width: dict[int, int] = {}  # by id(node); -1 while children pend
+        top = -1
+        stack: list[Node] = [self.body]
+        while stack:
+            node = stack.pop()
+            key = id(node)
+            w = width.get(key)
+            if w is not None:
+                if w >= 0:
+                    continue  # a shared node, already done
+                # otherwise the second visit: the children are done
+            elif isinstance(node, (Affine, Activation)):
+                width[key] = -1
+                stack.append(node)
+                stack.append(node.child)
+                continue
+            elif isinstance(node, (Product, Sum, Max)):
+                width[key] = -1
+                stack.append(node)
+                stack.extend(node.children[::-1])
+                continue
+            if isinstance(node, Coords):
+                w = len(node.indices)
+                if w:
+                    top = max(top, *node.indices)
+            elif isinstance(node, Const):
+                w = len(node.values)
+            elif isinstance(node, Affine):
+                w = len(node.matrix)
+            elif isinstance(node, Activation):
+                w = width[id(node.child)]
+            elif isinstance(node, (Product, Sum, Max)):
+                w = width[id(node.children[0])]
+                for c in node.children:
+                    if width[id(c)] != w:
+                        raise ValueError(
+                            "children of product/sum/max must share a width")
+            else:
+                raise TypeError(f"unknown node type {type(node).__name__}")
+            width[key] = w
+            nodes.append(node)
+        w = width[id(self.body)]
         if w != self.codomain_dim:
             raise ValueError(f"body width {w} != codomain_dim {self.codomain_dim}")
-        if _max_index(self.body, {}) >= self.domain_dim:
+        if top >= self.domain_dim:
             raise ValueError("body references coordinates outside the domain")
+        object.__setattr__(self, "nodes", tuple(nodes))
 
     def __call__(self, y) -> np.ndarray:
         return evaluate(self, y)
@@ -220,42 +226,33 @@ def evaluate(section: Section, y) -> np.ndarray:
         raise ValueError(
             f"input shape {np.asarray(y).shape} does not match domain dim "
             f"{section.domain_dim}")
-    out = _eval(section.body, arr, {})
+    vals: dict[int, np.ndarray] = {}
+    for node in section.nodes:
+        if isinstance(node, Coords):
+            out = arr[:, list(node.indices)] if node.indices else \
+                np.zeros((arr.shape[0], 0))
+        elif isinstance(node, Const):
+            out = np.broadcast_to(np.asarray(node.values, dtype=float),
+                                  (arr.shape[0], len(node.values))).copy()
+        elif isinstance(node, Affine):
+            m = np.asarray(node.matrix, dtype=float)
+            out = vals[id(node.child)] @ m.T + np.asarray(node.bias, dtype=float)
+        elif isinstance(node, Activation):
+            out = ACTIVATIONS[node.name].fn(vals[id(node.child)])
+        elif isinstance(node, Product):
+            out = vals[id(node.children[0])]
+            for c in node.children[1:]:
+                out = out * vals[id(c)]
+        elif isinstance(node, Sum):
+            out = vals[id(node.children[0])]
+            for c in node.children[1:]:
+                out = out + vals[id(c)]
+        else:  # Max
+            out = vals[id(node.children[0])]
+            for c in node.children[1:]:
+                out = np.maximum(out, vals[id(c)])
+        vals[id(node)] = out
     return out[0] if single else out
-
-
-def _eval(node: Node, Y: np.ndarray, memo: dict[int, np.ndarray]) -> np.ndarray:
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, Coords):
-        out = Y[:, list(node.indices)] if node.indices else np.zeros((Y.shape[0], 0))
-    elif isinstance(node, Const):
-        out = np.broadcast_to(np.asarray(node.values, dtype=float),
-                              (Y.shape[0], len(node.values))).copy()
-    elif isinstance(node, Affine):
-        child = _eval(node.child, Y, memo)
-        m = np.asarray(node.matrix, dtype=float)
-        out = child @ m.T + np.asarray(node.bias, dtype=float)
-    elif isinstance(node, Activation):
-        out = ACTIVATIONS[node.name].fn(_eval(node.child, Y, memo))
-    elif isinstance(node, Product):
-        out = _eval(node.children[0], Y, memo).copy()
-        for c in node.children[1:]:
-            out = out * _eval(c, Y, memo)
-    elif isinstance(node, Sum):
-        out = _eval(node.children[0], Y, memo).copy()
-        for c in node.children[1:]:
-            out = out + _eval(c, Y, memo)
-    elif isinstance(node, Max):
-        out = _eval(node.children[0], Y, memo)
-        for c in node.children[1:]:
-            out = np.maximum(out, _eval(c, Y, memo))
-    else:
-        raise TypeError(f"unknown node type {type(node).__name__}")
-    memo[key] = out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -373,45 +370,39 @@ def zero_pad_map(fibers: Sequence[int], small: OpenSet, big: OpenSet) -> CoordMa
                     slots=tuple(slots))
 
 
-def _rewrite(node: Node, slots: tuple[int | None, ...],
-             memo: dict[int, Node]) -> Node:
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, Coords):
-        mapped = [slots[i] for i in node.indices]
-        if all(m is not None for m in mapped):
-            out: Node = Coords(tuple(mapped))  # type: ignore[arg-type]
-        else:
-            survivors = [m for m in mapped if m is not None]
-            if not survivors:
-                out = Const((0.0,) * len(mapped))
+def _rewrite(section: Section, slots: tuple[int | None, ...]) -> Node:
+    """The section's body with coordinate i read from ``slots[i]`` (None
+    reads zero); shared nodes stay shared."""
+    new: dict[int, Node] = {}
+    for node in section.nodes:
+        if isinstance(node, Coords):
+            mapped = [slots[i] for i in node.indices]
+            if all(m is not None for m in mapped):
+                out: Node = Coords(tuple(mapped))  # type: ignore[arg-type]
             else:
-                rows = []
-                pos = 0
-                for m in mapped:
-                    row = [0.0] * len(survivors)
-                    if m is not None:
-                        row[pos] = 1.0
-                        pos += 1
-                    rows.append(tuple(row))
-                out = Affine(tuple(rows), (0.0,) * len(mapped), Coords(tuple(survivors)))
-    elif isinstance(node, Const):
-        out = node
-    elif isinstance(node, Affine):
-        out = Affine(node.matrix, node.bias, _rewrite(node.child, slots, memo))
-    elif isinstance(node, Activation):
-        out = Activation(node.name, _rewrite(node.child, slots, memo))
-    elif isinstance(node, Product):
-        out = Product(tuple(_rewrite(c, slots, memo) for c in node.children))
-    elif isinstance(node, Sum):
-        out = Sum(tuple(_rewrite(c, slots, memo) for c in node.children))
-    elif isinstance(node, Max):
-        out = Max(tuple(_rewrite(c, slots, memo) for c in node.children))
-    else:
-        raise TypeError(f"unknown node type {type(node).__name__}")
-    memo[key] = out
+                survivors = [m for m in mapped if m is not None]
+                if not survivors:
+                    out = Const((0.0,) * len(mapped))
+                else:
+                    rows = []
+                    pos = 0
+                    for m in mapped:
+                        row = [0.0] * len(survivors)
+                        if m is not None:
+                            row[pos] = 1.0
+                            pos += 1
+                        rows.append(tuple(row))
+                    out = Affine(tuple(rows), (0.0,) * len(mapped),
+                                 Coords(tuple(survivors)))
+        elif isinstance(node, Const):
+            out = node
+        elif isinstance(node, Affine):
+            out = Affine(node.matrix, node.bias, new[id(node.child)])
+        elif isinstance(node, Activation):
+            out = Activation(node.name, new[id(node.child)])
+        else:  # Product, Sum, Max
+            out = type(node)(tuple(new[id(c)] for c in node.children))
+        new[id(node)] = out
     return out
 
 
@@ -427,7 +418,7 @@ def compose_coord(section: Section, cmap: CoordMap) -> Section:
         raise ValueError(
             f"coordinate map target dim {cmap.target_dim} does not match "
             f"section domain dim {section.domain_dim}")
-    body = _rewrite(section.body, cmap.slots, {})
+    body = _rewrite(section, cmap.slots)
     return Section(domain_dim=cmap.source_dim,
                    codomain_dim=section.codomain_dim,
                    body=body, domain=cmap.source)
@@ -439,7 +430,7 @@ def shift_section(section: Section, offset: int, total_dim: int,
     if offset < 0 or offset + section.domain_dim > total_dim:
         raise ValueError("slot block out of range")
     slots = tuple(range(offset, offset + section.domain_dim))
-    body = _rewrite(section.body, slots, {})
+    body = _rewrite(section, slots)
     return Section(domain_dim=total_dim, codomain_dim=section.codomain_dim,
                    body=body, domain=domain)
 
@@ -481,32 +472,6 @@ def product_counterexample(U: OpenSet, fibers: Sequence[int], k: int) -> Section
     prod = Product(tuple(Coords((i,)) for i in range(d)))
     body = Affine(tuple((1.0,) for _ in range(k)), (0.0,) * k, prod)
     return Section(domain_dim=d, codomain_dim=k, body=body, domain=U)
-
-
-@dataclass(frozen=True)
-class LinearSection:
-    """A linear section, stored as a k x d matrix (row-major)."""
-
-    matrix: tuple[tuple[float, ...], ...]
-    domain: OpenSet | None = None
-
-    def __post_init__(self):
-        m = tuple(tuple(float(v) for v in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def domain_dim(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    @property
-    def codomain_dim(self) -> int:
-        return len(self.matrix)
-
-    def to_section(self) -> Section:
-        return affine_section(self.matrix, domain=self.domain)
-
-    def __call__(self, y) -> np.ndarray:
-        return np.asarray(self.matrix, dtype=float) @ np.asarray(y, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +533,15 @@ def mixed_difference(section: Section, i: int, j: int, base, h: float) -> np.nda
 Monomial = tuple[int, ...]
 
 
+def _accumulate(acc: dict, key, c: Fraction) -> None:
+    """acc[key] += c in a sparse coefficient dict; a zero sum drops the key."""
+    nv = acc.get(key, 0) + c
+    if nv:
+        acc[key] = nv
+    else:
+        acc.pop(key, None)
+
+
 def polynomial_coefficients(section: Section) -> list[dict[Monomial, Fraction]]:
     """Exact monomial coefficients of a polynomial section, per output.
 
@@ -575,17 +549,9 @@ def polynomial_coefficients(section: Section) -> list[dict[Monomial, Fraction]]:
     (identity activations are tolerated).  Float parameters convert
     exactly via Fraction(float).
     """
-    d = section.domain_dim
-
-    def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-        return tuple(x + y for x, y in zip(a, b))
-
-    zero: Monomial = (0,) * d
-
-    def go(node: Node, memo: dict[int, list[dict[Monomial, Fraction]]]):
-        key = id(node)
-        if key in memo:
-            return memo[key]
+    zero: Monomial = (0,) * section.domain_dim
+    polys: dict[int, list[dict[Monomial, Fraction]]] = {}
+    for node in section.nodes:
         if isinstance(node, Coords):
             out = []
             for i in node.indices:
@@ -594,12 +560,10 @@ def polynomial_coefficients(section: Section) -> list[dict[Monomial, Fraction]]:
                 out.append({tuple(m): Fraction(1)})
         elif isinstance(node, Const):
             out = [{zero: Fraction(v)} if v else {} for v in node.values]
-        elif isinstance(node, Activation):
-            if node.name != "identity":
-                raise ValueError("section is not polynomial")
-            out = go(node.child, memo)
+        elif isinstance(node, Activation) and node.name == "identity":
+            out = polys[id(node.child)]
         elif isinstance(node, Affine):
-            child = go(node.child, memo)
+            child = polys[id(node.child)]
             out = []
             for row, bval in zip(node.matrix, node.bias):
                 acc: dict[Monomial, Fraction] = {}
@@ -608,33 +572,21 @@ def polynomial_coefficients(section: Section) -> list[dict[Monomial, Fraction]]:
                         continue
                     fc = Fraction(coef)
                     for mono, c in poly.items():
-                        nv = acc.get(mono, Fraction(0)) + fc * c
-                        if nv:
-                            acc[mono] = nv
-                        elif mono in acc:
-                            del acc[mono]
+                        _accumulate(acc, mono, fc * c)
                 if bval:
-                    nv = acc.get(zero, Fraction(0)) + Fraction(bval)
-                    if nv:
-                        acc[zero] = nv
-                    elif zero in acc:
-                        del acc[zero]
+                    _accumulate(acc, zero, Fraction(bval))
                 out.append(acc)
         elif isinstance(node, Sum):
-            parts = [go(c, memo) for c in node.children]
+            parts = [polys[id(c)] for c in node.children]
             out = []
             for slot in range(len(parts[0])):
                 acc = {}
                 for part in parts:
                     for mono, c in part[slot].items():
-                        nv = acc.get(mono, Fraction(0)) + c
-                        if nv:
-                            acc[mono] = nv
-                        elif mono in acc:
-                            del acc[mono]
+                        _accumulate(acc, mono, c)
                 out.append(acc)
         elif isinstance(node, Product):
-            parts = [go(c, memo) for c in node.children]
+            parts = [polys[id(c)] for c in node.children]
             out = []
             for slot in range(len(parts[0])):
                 acc = parts[0][slot]
@@ -642,20 +594,14 @@ def polynomial_coefficients(section: Section) -> list[dict[Monomial, Fraction]]:
                     nxt: dict[Monomial, Fraction] = {}
                     for m1, c1 in acc.items():
                         for m2, c2 in part[slot].items():
-                            m = mono_mul(m1, m2)
-                            nv = nxt.get(m, Fraction(0)) + c1 * c2
-                            if nv:
-                                nxt[m] = nv
-                            elif m in nxt:
-                                del nxt[m]
+                            _accumulate(nxt, tuple(x + y for x, y in zip(m1, m2)),
+                                        c1 * c2)
                     acc = nxt
                 out.append(acc)
         else:
             raise ValueError("section is not polynomial")
-        memo[key] = out
-        return out
-
-    return go(section.body, {})
+        polys[id(node)] = out
+    return out
 
 
 def polynomial_section(domain_dim: int, codomain_dim: int,
@@ -695,37 +641,31 @@ def polynomial_section(domain_dim: int, codomain_dim: int,
 
 
 def section_to_json(section: Section) -> dict:
-    """Serialize to an explicit node-id expression tree (row-major arrays)."""
-    nodes: list[dict] = []
-    ids: dict[int, int] = {}
+    """Serialize to an explicit node-id expression tree (row-major arrays).
 
-    def visit(node: Node) -> int:
-        key = id(node)
-        if key in ids:
-            return ids[key]
+    Node ids follow ``section.nodes``, so children precede parents and
+    the root is the last node.
+    """
+    ids = {id(node): i for i, node in enumerate(section.nodes)}
+    nodes: list[dict] = []
+    for node in section.nodes:
         if isinstance(node, Coords):
             entry = {"kind": "coords", "indices": list(node.indices)}
         elif isinstance(node, Const):
             entry = {"kind": "const", "values": list(node.values)}
         elif isinstance(node, Affine):
             entry = {"kind": "affine", "matrix": [list(r) for r in node.matrix],
-                     "bias": list(node.bias), "child": visit(node.child)}
+                     "bias": list(node.bias), "child": ids[id(node.child)]}
         elif isinstance(node, Activation):
             entry = {"kind": "activation", "name": node.name,
-                     "child": visit(node.child)}
-        elif isinstance(node, (Product, Sum, Max)):
-            kind = {Product: "product", Sum: "sum", Max: "max"}[type(node)]
-            entry = {"kind": kind, "children": [visit(c) for c in node.children]}
+                     "child": ids[id(node.child)]}
         else:
-            raise TypeError(f"unknown node type {type(node).__name__}")
+            kind = {Product: "product", Sum: "sum", Max: "max"}[type(node)]
+            entry = {"kind": kind, "children": [ids[id(c)] for c in node.children]}
         entry["id"] = len(nodes)
         nodes.append(entry)
-        ids[key] = entry["id"]
-        return entry["id"]
-
-    root = visit(section.body)
     return {"domain_dim": section.domain_dim, "codomain_dim": section.codomain_dim,
-            "root": root, "nodes": nodes}
+            "root": len(nodes) - 1, "nodes": nodes}
 
 
 def section_from_json(obj: dict, domain: OpenSet | None = None) -> Section:

@@ -18,8 +18,8 @@ import numpy as np
 
 from ._linalg import nullspace_basis
 from .topology import Cover, Nerve, OpenSet, has_proper_union
-from .sections import (Const, Section, Sum, affine_section, compose_coord,
-                       evaluate, mixed_difference, open_set_dim,
+from .sections import (Const, Section, Sum, _accumulate, affine_section,
+                       compose_coord, evaluate, mixed_difference, open_set_dim,
                        polynomial_coefficients, polynomial_section,
                        product_counterexample, projection_map, sections_equal,
                        slot_layout, zero_pad_map, zero_section, ACTIVATIONS)
@@ -450,12 +450,7 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
         target = pair_coeffs.setdefault((a, b), [dict() for _ in range(k)])
         for s in range(k):
             if vec[s]:
-                m = tuple(mono)
-                nv = target[s].get(m, Fraction(0)) + vec[s]
-                if nv:
-                    target[s][m] = nv
-                elif m in target[s]:
-                    del target[s][m]
+                _accumulate(target[s], tuple(mono), vec[s])
 
     for key, vecs in table.items():
         total = [Fraction(0)] * k
@@ -491,11 +486,7 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
     def add_global(acc, key, vec, sign):
         for s in range(k):
             if vec[s]:
-                nv = acc[s].get(key, Fraction(0)) + sign * vec[s]
-                if nv:
-                    acc[s][key] = nv
-                elif key in acc[s]:
-                    del acc[s][key]
+                _accumulate(acc[s], key, sign * vec[s])
 
     for (a, b), per_out in pair_coeffs.items():
         overlap_slots = _global_slot_list(mems[a] & mems[b], fibers)
@@ -569,11 +560,7 @@ def kernel_report(cover: Cover, k: int = 1, seed: int = 0,
             ext_coeffs = polynomial_coefficients(ext)
             for s in range(k):
                 for mono, c in ext_coeffs[s].items():
-                    nv = acc[s].get(mono, Fraction(0)) + sign * c
-                    if nv:
-                        acc[s][mono] = nv
-                    elif mono in acc[s]:
-                        del acc[s][mono]
+                    _accumulate(acc[s], mono, sign * c)
         locals_.append(polynomial_section(d_a, k, acc, domain=cover.elements[a]))
 
     try:
@@ -869,6 +856,8 @@ def dataset_dependency(net: Network, grid_points: int = 10_000,
     difference across a coordinate pair split by the last cover stage,
     while the coordinate-product target does not.
     """
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     final = net.layers[-1]
     if not isinstance(final, InclusionLayer):
         raise ValueError("the final layer must declare its activation")

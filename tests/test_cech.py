@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coversheaf.topology import MarkedSpace, OpenSet, make_cover
-from coversheaf.cech import (HomSpace, build_cech_complex, cech_cohomology,
+from coversheaf.cech import (build_cech_complex, cech_cohomology,
                              flasque_check, hom_report_json, rank_cross_check,
                              restriction_matrix, sheaf_axiom_check)
 from coversheaf._linalg import exact_rank, float_rank, nullspace_basis
@@ -13,13 +13,6 @@ from coversheaf._linalg import exact_rank, float_rank, nullspace_basis
 def space(n, fibers=None):
     return MarkedSpace(n_points=n, fiber_dims=fibers or (1,) * n,
                        structure=("abstract",))
-
-
-def test_hom_space_dims():
-    u = OpenSet(id="u", members=frozenset({1, 3}))
-    assert HomSpace(open_set=u, fibers=(2, 1, 3), k=2).dim == 10
-    empty = OpenSet(id="e", members=frozenset())
-    assert HomSpace(open_set=empty, fibers=(1, 1), k=4).dim == 0
 
 
 def test_restriction_matrix_selects_columns():

@@ -160,3 +160,51 @@ def test_reports_are_reproducible(capsys, argv):
     second = capsys.readouterr().out
     assert strip_timestamp(first) == strip_timestamp(second)
     assert '"timestamp"' in first
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "glue", "--k", "0"],
+    ["witness", "glue", "--samples", "0"],
+    ["witness", "prop2.8", "--samples", "0"],
+    ["cohomology", "--cover", TWO, "--k", "0"],
+    ["cohomology", "--cover", TWO, "--depth", "-1"],
+    ["witness", "thm4.3", "--grid", "0"],
+    ["witness", "thm4.3", "--grid", "-5"],
+    ["witness", "thm4.1", "--k", "0"],
+    ["witness", "glue", "--k", "one"],
+    ["wl-compare", C6, TWO_C3, "--depth", "-1"],
+    ["demo", "cnn", "--samples", "0"],
+    ["demo", "cnn", "--grid", "0"],
+])
+def test_meaningless_counts_exit_2_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: argument --" in captured.err
+
+
+def test_attack_on_a_1500_deep_phi_network(capsys, tmp_path):
+    # phi reads its token through 1,500 nested tanh nodes
+    depth = 1_500
+    nodes = [{"id": 0, "kind": "coords", "indices": [0]}]
+    nodes += [{"id": i + 1, "kind": "activation", "name": "tanh", "child": i}
+              for i in range(depth)]
+    phi = {"domain_dim": 1, "codomain_dim": 1, "root": depth, "nodes": nodes}
+    doc = {"schema": 1,
+           "space": {"n_points": 4, "fiber_dims": [1] * 4,
+                     "structure": {"kind": "abstract"}},
+           "stages": [[[1], [2], [3], [4]], [[1, 2], [3, 4]],
+                      [[1, 2, 3, 4]]],
+           "layers": [
+               {"kind": "inclusion", "aggregation": [[0, 1], [2, 3]],
+                "out_dim": 1, "activation": "relu", "phi": [phi] * 4},
+               {"kind": "inclusion", "aggregation": [[0, 1]], "out_dim": 1,
+                "activation": "identity",
+                "phi": [{"matrix": [[1.0]]}, {"matrix": [[1.0]]}]}]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "witness", "thm4.2", "--net", str(path))
+    assert code == 0
+    assert out["reports"][0]["measured"]["null_space_dim"] == 2

@@ -31,8 +31,8 @@ def test_graph_validation():
 def test_adjacency_and_degree():
     g = path_graph(3)
     assert g.adjacency() == ((1,), (0, 2), (1,))
-    assert [g.degree(v) for v in range(3)] == [1, 2, 1]
-    assert cycle_graph(4).degree(0) == 2
+    assert [len(g.adjacency()[v]) for v in range(3)] == [1, 2, 1]
+    assert len(cycle_graph(4).adjacency()[0]) == 2
 
 
 def test_builders():

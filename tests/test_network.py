@@ -11,9 +11,9 @@ from coversheaf.topology import (CoverSequence, MarkedSpace, global_stage,
                                  make_cover, singleton_stage)
 from coversheaf.sections import affine_section, constant_section, evaluate
 from coversheaf.network import (Deviation, GeneralLayer, InclusionLayer,
-                                Network, Reducer, affine_aggregation_residual,
-                                build_attention, build_cnn, build_rnn_cover,
-                                build_sequential, composed_layer_sections,
+                                Network, Reducer, build_attention, build_cnn,
+                                build_rnn_cover, build_sequential,
+                                composed_layer_sections,
                                 factors_check, forward, linear_matrix,
                                 network_from_json, network_to_json,
                                 positional_encoding)
@@ -118,15 +118,6 @@ def test_linear_matrix():
     biased = build_sequential(3, "rnn", seed=0)
     with pytest.raises(ValueError):
         linear_matrix(biased)
-
-
-def test_affine_residual_detects_max():
-    net = build_cnn(2, plan=[{"kind": "pool", "mode": "max", "block": 2},
-                             {"kind": "fc", "out_dim": 1,
-                              "activation": "identity"}])
-    assert affine_aggregation_residual(net.layers[0], seed=0) > 1e-3
-    lin = sumpool_net()
-    assert affine_aggregation_residual(lin.layers[0], seed=0) <= 1e-9
 
 
 def test_reducer_modes():

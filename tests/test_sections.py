@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coversheaf.topology import OpenSet
-from coversheaf.sections import (ACTIVATIONS, Activation, Section, Sum,
+from coversheaf.sections import (ACTIVATIONS, Activation, Affine, Const,
+                                 Coords, Product, Section, Sum,
                                  affine_section, compose_coord,
                                  constant_section, evaluate,
                                  identity_section, mixed_difference,
                                  open_set_dim, polynomial_coefficients,
                                  polynomial_section, product_counterexample,
-                                 projection_map, sections_equal, slot_layout,
-                                 zero_pad_map, zero_section)
+                                 projection_map, section_from_json,
+                                 section_to_json, sections_equal,
+                                 shift_section, slot_layout, zero_pad_map,
+                                 zero_section)
 
 UNIT3 = (1, 1, 1)
 U_ALL = OpenSet(id="all", members=frozenset({1, 2, 3}))
@@ -184,3 +187,66 @@ def test_composition_rewrites_indices_flat():
     step2 = compose_coord(step1, projection_map(UNIT3, U_ALL, U_23))
     assert step2.domain_dim == 3
     assert np.allclose(evaluate(step2, [9.0, 1.0, 1.0]), [5.0])
+
+
+def test_nodes_are_distinct_and_children_first():
+    x, c = Coords((0,)), Const((2.0,))
+    shared = Sum((x, c))
+    body = Product((shared, Activation("tanh", shared), x))
+    sec = Section(domain_dim=1, codomain_dim=1, body=body)
+    assert [type(n).__name__ for n in sec.nodes] == [
+        "Coords", "Const", "Sum", "Activation", "Product"]
+    assert sec.nodes[2] is shared and sec.nodes[-1] is body
+    assert [e["id"] for e in section_to_json(sec)["nodes"]] == list(range(5))
+    # nodes is derived: it takes no part in construction, equality or repr
+    assert sec == Section(1, 1, body)
+    assert "nodes" not in repr(sec)
+
+
+def test_section_checks_every_node():
+    mixed = Sum((Coords((0,)), Coords((0, 1))))
+    with pytest.raises(ValueError, match="share a width"):
+        Section(domain_dim=2, codomain_dim=1,
+                body=Affine(((1.0, 1.0),), (0.0,), mixed))
+    with pytest.raises(ValueError, match="body width"):
+        Section(domain_dim=2, codomain_dim=1, body=Coords((0, 1)))
+    with pytest.raises(ValueError, match="outside the domain"):
+        Section(domain_dim=2, codomain_dim=1,
+                body=Activation("relu", Coords((2,))))
+
+
+DEEP = 5_000
+
+
+def deep_section() -> Section:
+    """x + swap(x) on R^2, where x is read through DEEP identity
+    activations (far deeper than the interpreter's recursion limit)."""
+    chain = Coords((0, 1))
+    for _ in range(DEEP):
+        chain = Activation("identity", chain)
+    return Section(domain_dim=2, codomain_dim=2,
+                   body=Sum((chain, Coords((1, 0)))))
+
+
+def test_deep_dag_evaluates_and_composes():
+    sec = deep_section()
+    assert len(sec.nodes) == DEEP + 3
+    y = np.array([[1.0, 2.0], [3.0, -5.0]])
+    assert evaluate(sec, y).tolist() == [[3.0, 3.0], [-2.0, -2.0]]
+
+    ext = compose_coord(sec, projection_map(UNIT3, U_ALL, U_12))
+    assert evaluate(ext, [1.0, 2.0, 7.0]).tolist() == [3.0, 3.0]
+    res = compose_coord(sec, zero_pad_map(UNIT3, OpenSet("p1", frozenset({1})),
+                                          U_12))
+    assert evaluate(res, [4.0]).tolist() == [4.0, 4.0]
+    shifted = shift_section(sec, 1, 4)
+    assert evaluate(shifted, [9.0, 1.0, 2.0, 9.0]).tolist() == [3.0, 3.0]
+
+
+def test_deep_dag_coefficients_and_json_round_trip():
+    sec = deep_section()
+    both = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    assert polynomial_coefficients(sec) == [both, both]
+    doc = section_to_json(sec)
+    assert doc["root"] == DEEP + 2
+    assert section_to_json(section_from_json(doc)) == doc

@@ -293,6 +293,13 @@ def test_dataset_dependency_bounded_activation():
     assert rep2.verdict
 
 
+def test_dataset_dependency_rejects_empty_probe():
+    net = build_sequential(4, "rnn", seed=3)
+    for grid in (0, -5):
+        with pytest.raises(ValueError, match="grid_points"):
+            dataset_dependency(net, grid_points=grid)
+
+
 def test_dataset_dependency_identity_head():
     net = build_cnn(2, plan=[{"kind": "conv", "channels": 2,
                               "activation": "relu"},
