@@ -2,9 +2,20 @@
 
 The linear sections over an open set U form Hom(R^{d_U}, R^k), of
 dimension k * d_U; restriction along U inside V is precomposition with
-zero padding, which on matrices is column selection.  All coboundary
-matrices therefore have entries in {-1, 0, 1} and ranks are certified
-exactly over the integers, with a floating SVD kept as a cross-check.
+zero padding, which on matrices is column selection.  Every coordinate
+(r, p, j) of a section over a face (row r, fiber slot j of point p) maps
+to the same coordinate over each smaller face, and a face carries it
+exactly when all of the face's elements contain p.  The Cech complex of
+a cover is therefore a direct sum over covered points p: each point
+contributes k * d_p copies of the cochain complex of the full simplex on
+the m_p elements that contain p (duplicate elements count twice), with
+the elements in cover order so the coboundary signs agree.
+
+Cohomology and the axiom check group the points by m_p and certify one
+simplex block per distinct m_p by exact integer elimination; dimensions
+and ranks of the whole complex are the weighted sums of the blocks'.
+``build_cech_complex`` still assembles the dense complex of any cover:
+it builds the blocks, and tests compare the block route against it.
 
 Restrictions here are surjective for every nested pair (column
 selection hits every coordinate), which is the flasque property; on a
@@ -16,13 +27,14 @@ appeal to the general fact.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._linalg import exact_rank, float_rank
-from .topology import Cover, OpenSet
+from .topology import Cover, MarkedSpace, OpenSet, make_cover
 from .sections import open_set_dim, slot_layout
 
 
@@ -126,24 +138,51 @@ def build_cech_complex(cover: Cover, fibers: Sequence[int], k: int,
                        coboundaries=tuple(deltas))
 
 
+def _point_blocks(cover: Cover, fibers: Sequence[int], k: int) -> dict[int, int]:
+    """Map each multiplicity m to the sum of k * d_p over covered points p
+    lying in exactly m elements of the cover."""
+    mult = Counter(p for members in cover.memberships() for p in members)
+    weights: dict[int, int] = {}
+    for p, m in mult.items():
+        weights[m] = weights.get(m, 0) + k * int(fibers[p - 1])
+    return weights
+
+
+def _simplex_block(m: int, max_degree: int) -> CechComplex:
+    """Cech complex of m copies of a one-point, fiber-1 element, k = 1."""
+    point = MarkedSpace(n_points=1, fiber_dims=(1,))
+    return build_cech_complex(make_cover(point, [[1]] * m), (1,), 1,
+                              max_degree)
+
+
+def _rank(matrix: np.ndarray) -> int:
+    return exact_rank(matrix) if matrix.size else 0
+
+
+def _cohomology_dims(cover: Cover, fibers: Sequence[int], k: int,
+                     max_degree: int) -> tuple[list[int], list[int]]:
+    """h^0..h^max_degree and the cochain dimensions of the same degrees."""
+    dims = [0] * (max_degree + 2)
+    ranks = [0] * (max_degree + 1)
+    for m, weight in _point_blocks(cover, fibers, k).items():
+        block = _simplex_block(m, max_degree)
+        for q, d in enumerate(block.dims):
+            dims[q] += weight * d
+        for q, delta in enumerate(block.coboundaries):
+            ranks[q] += weight * _rank(delta)
+    h = [dims[q] - ranks[q] - (ranks[q - 1] if q else 0)
+         for q in range(max_degree + 1)]
+    return h, dims[:max_degree + 1]
+
+
 def cech_cohomology(cover: Cover, fibers: Sequence[int], k: int,
                     max_degree: int = 1) -> list[int]:
     """Dimensions h^0..h^max_degree, via exact integer ranks.
 
-    h^q = dim ker(delta_q) - rank(delta_{q-1}).
+    h^q = dim ker(delta_q) - rank(delta_{q-1}), summed over the
+    per-point simplex blocks.
     """
-    return _cohomology(build_cech_complex(cover, fibers, k, max_degree))
-
-
-def _cohomology(cx: CechComplex) -> list[int]:
-    """h^0..h^max_degree of a complex built up to C^{max_degree+1}."""
-    ranks = [exact_rank(d) if d.size else 0 for d in cx.coboundaries]
-    out = []
-    for q in range(len(ranks)):
-        ker = cx.dims[q] - ranks[q]
-        im = ranks[q - 1] if q > 0 else 0
-        out.append(ker - im)
-    return out
+    return _cohomology_dims(cover, fibers, k, max_degree)[0]
 
 
 @dataclass(frozen=True)
@@ -176,10 +215,6 @@ class ExactnessReport:
         }
 
 
-def _global_open(cover: Cover) -> OpenSet:
-    return OpenSet(id="union", members=cover.covered)
-
-
 def sheaf_axiom_check(cover: Cover, fibers: Sequence[int], k: int) -> ExactnessReport:
     """Verify both halves of the gluing axiom for Hom sections.
 
@@ -187,43 +222,31 @@ def sheaf_axiom_check(cover: Cover, fibers: Sequence[int], k: int) -> ExactnessR
     injective, that its image is exactly the kernel of the pairwise
     difference map, and (for the extension direction) that the sum of
     zero-padded inclusions surjects onto the sections over the union.
+    Each check runs on the per-point simplex blocks, where the joint
+    restriction is the all-ones column and its transpose the sum of
+    inclusions.
     """
-    fibers = tuple(int(f) for f in fibers)
-    memberships = cover.memberships()
-    U = _global_open(cover)
-    d_U = open_set_dim(U.members, fibers)
+    weights = _point_blocks(cover, fibers, k)
+    dim_global = sum(weights.values())
+    dim_product = dim_pairwise = rank_first = rank_delta0 = rank_ext = 0
+    composition_zero = True
+    for m, weight in weights.items():
+        block = _simplex_block(m, max_degree=0)
+        first = np.ones((m, 1), dtype=np.int64)
+        delta0 = block.coboundaries[0]
+        dim_product += weight * block.dims[0]
+        dim_pairwise += weight * block.dims[1]
+        rank_first += weight * _rank(first)
+        rank_delta0 += weight * _rank(delta0)
+        rank_ext += weight * _rank(first.T)
+        composition_zero = composition_zero and not np.any(delta0 @ first)
 
-    res_blocks = [restriction_matrix(U, el, fibers, k) for el in cover.elements]
-    dim_product = sum(b.shape[0] for b in res_blocks)
-    first = np.zeros((dim_product, k * d_U), dtype=np.int64)
-    pos = 0
-    for b in res_blocks:
-        first[pos:pos + b.shape[0]] = b
-        pos += b.shape[0]
-
-    cx = build_cech_complex(cover, fibers, k, max_degree=1)
-    delta0 = cx.coboundaries[0]
-    dim_pairwise = cx.dims[1]
-
-    rank_first = exact_rank(first) if first.size else 0
-    rank_delta0 = exact_rank(delta0) if delta0.size else 0
-
-    injective = rank_first == k * d_U
-    comp = delta0 @ first if (delta0.size and first.size) else np.zeros((1, 1), dtype=np.int64)
-    composition_zero = not np.any(comp)
-    kernel_mid = dim_product - rank_delta0
-    exact_middle = composition_zero and kernel_mid == rank_first
-
-    # extension direction: matrices over each element, zero padded into
-    # Hom over the union; surjective iff the stacked map has full rank.
-    ext = first.T  # transpose of column selection is the zero-padding inclusion
-    rank_ext = exact_rank(ext) if ext.size else 0
-    coker = k * d_U - rank_ext
-
-    passed = injective and exact_middle and coker == 0
+    injective = rank_first == dim_global
+    exact_middle = composition_zero and dim_product - rank_delta0 == rank_first
+    coker = dim_global - rank_ext
     return ExactnessReport(
         cover_id=";".join(el.id for el in cover.elements),
-        dim_global=k * d_U,
+        dim_global=dim_global,
         dim_product=dim_product,
         dim_pairwise=dim_pairwise,
         rank_restriction=rank_first,
@@ -232,7 +255,7 @@ def sheaf_axiom_check(cover: Cover, fibers: Sequence[int], k: int) -> ExactnessR
         exact_middle=exact_middle,
         composition_zero=composition_zero,
         cosheaf_coker_dim=coker,
-        passed=passed,
+        passed=injective and exact_middle and coker == 0,
     )
 
 
@@ -246,8 +269,7 @@ def flasque_check(fibers: Sequence[int], k: int,
     out = []
     for big, small in pairs:
         m = restriction_matrix(big, small, fibers, k)
-        rank = exact_rank(m) if m.size else 0
-        out.append(rank == m.shape[0])
+        out.append(_rank(m) == m.shape[0])
     return out
 
 

@@ -28,8 +28,7 @@ import numpy as np
 from .topology import (CoverSequence, MarkedSpace, check_na_axioms,
                        global_stage, load_space_document, make_cover,
                        singleton_stage)
-from .cech import _cohomology, build_cech_complex, hom_report_json, \
-    sheaf_axiom_check
+from .cech import _cohomology_dims, hom_report_json, sheaf_axiom_check
 from .network import (InclusionLayer, build_attention, build_cnn,
                       build_sequential, factors_check, forward,
                       network_from_json, positional_encoding)
@@ -122,9 +121,8 @@ def _cmd_cohomology(args) -> tuple[list[dict], dict]:
     fibers = space.fiber_dims
     reports: list[dict] = []
     for i, cover in enumerate(covers):
-        cx = build_cech_complex(cover, fibers, args.k, args.depth)
-        entry = hom_report_json(i, _cohomology(cx),
-                                list(cx.dims[:args.depth + 1]))
+        entry = hom_report_json(
+            i, *_cohomology_dims(cover, fibers, args.k, args.depth))
         entry.update(kind="cohomology", ok=entry["exact"])
         ex = sheaf_axiom_check(cover, fibers, args.k)
         reports.append(entry)

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .topology import _read_source
+from .topology import _json_int, _read_source
 
 
 @dataclass(frozen=True)
@@ -340,9 +340,11 @@ def load_graph(source) -> Graph:
         obj = json.loads(text) if stripped.startswith("{") else None
     if obj is not None:
         try:
-            return Graph(n=int(obj["n"]),
-                         edges=tuple(tuple(e) for e in obj.get("edges", [])),
-                         labels=tuple(obj.get("labels", ())))
+            return Graph(n=_json_int(obj["n"], "n"),
+                         edges=tuple(tuple(_json_int(x, "edges") for x in e)
+                                     for e in obj.get("edges", [])),
+                         labels=tuple(_json_int(x, "labels")
+                                      for x in obj.get("labels", ())))
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed graph document: {e}") from e
     edges = []

@@ -26,9 +26,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .topology import (Cover, CoverSequence, MarkedSpace, _read_source,
-                       global_stage, make_cover, singleton_stage,
-                       structure_from_json)
+from .topology import (Cover, CoverSequence, MarkedSpace, _json_int,
+                       _read_source, global_stage, make_cover,
+                       singleton_stage, structure_from_json)
 from .sections import (ACTIVATIONS, Activation, Coords, Node, Section, Sum,
                        affine_section, evaluate, identity_section,
                        section_from_json, section_to_json, shift_section,
@@ -695,14 +695,18 @@ def network_from_json(source) -> Network:
     try:
         sp = obj["space"]
         space = MarkedSpace(
-            n_points=int(sp["n_points"]),
-            fiber_dims=tuple(int(x) for x in sp["fiber_dims"]),
+            n_points=_json_int(sp["n_points"], "n_points"),
+            fiber_dims=tuple(_json_int(x, "fiber_dims")
+                             for x in sp["fiber_dims"]),
             structure=structure_from_json(sp.get("structure", {"kind": "abstract"})))
-        covers = [make_cover(space, fam) for fam in obj["stages"]]
+        covers = [make_cover(space, [[_json_int(p, "stages") for p in m]
+                                     for m in fam])
+                  for fam in obj["stages"]]
         seq = CoverSequence(space=space, stages=tuple(covers))
         layers: list[Layer] = []
         for i, entry in enumerate(obj["layers"]):
-            agg = tuple(tuple(int(a) for a in row) for row in entry["aggregation"])
+            agg = tuple(tuple(_json_int(a, "aggregation") for a in row)
+                        for row in entry["aggregation"])
             if entry["kind"] == "inclusion":
                 phis = []
                 for spec in entry["phi"]:
@@ -715,12 +719,12 @@ def network_from_json(source) -> Network:
                     input_cover=covers[i], output_cover=covers[i + 1],
                     aggregation=agg, phi=tuple(phis),
                     activation=entry.get("activation", "identity"),
-                    out_dim=int(entry["out_dim"])))
+                    out_dim=_json_int(entry["out_dim"], "out_dim")))
             elif entry["kind"] == "general":
                 layers.append(GeneralLayer(
                     input_cover=covers[i], output_cover=covers[i + 1],
                     aggregation=agg, op=Reducer(entry["op"]),
-                    out_dim=int(entry["out_dim"])))
+                    out_dim=_json_int(entry["out_dim"], "out_dim")))
             else:
                 raise ValueError(f"unknown layer kind {entry['kind']!r}")
         return Network(space=space, sequence=seq, layers=tuple(layers))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -317,12 +318,24 @@ def check_na_axioms(seq: CoverSequence) -> AxiomReport:
     return AxiomReport(stages=stages, all_hold=all(s.all_hold for s in stages))
 
 
+def _json_int(value, field: str) -> int:
+    """An integer read from JSON: an int, or a float with an integral
+    value.  Bools, strings and fractional floats raise ValueError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def structure_from_json(obj: dict) -> tuple:
     kind = obj.get("kind", "abstract")
     if kind == "grid":
-        return ("grid", int(obj["rows"]), int(obj["cols"]))
+        return ("grid", _json_int(obj["rows"], "rows"),
+                _json_int(obj["cols"], "cols"))
     if kind == "graph":
-        return ("graph", tuple(tuple(int(x) for x in e) for e in obj.get("edges", [])))
+        return ("graph", tuple(tuple(_json_int(x, "edges") for x in e)
+                               for e in obj.get("edges", [])))
     if kind == "line":
         return ("line",)
     if kind == "abstract":
@@ -362,13 +375,14 @@ def load_space_document(source) -> tuple[MarkedSpace, list[Cover]]:
     if not isinstance(obj, dict):
         raise ValueError("space document must be a JSON object")
     try:
-        n = int(obj["n_points"])
-        fibers = tuple(int(x) for x in obj["fiber_dims"])
+        n = _json_int(obj["n_points"], "n_points")
+        fibers = tuple(_json_int(x, "fiber_dims") for x in obj["fiber_dims"])
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed space document: {e}") from e
     structure = structure_from_json(obj.get("structure", {"kind": "abstract"}))
     space = MarkedSpace(n_points=n, fiber_dims=fibers, structure=structure)
     covers = []
     for fam in obj.get("covers", []):
-        covers.append(make_cover(space, [list(map(int, m)) for m in fam]))
+        covers.append(make_cover(
+            space, [[_json_int(p, "covers") for p in m] for m in fam]))
     return space, covers

@@ -185,6 +185,60 @@ def test_meaningless_counts_exit_2_at_parse_time(capsys, argv):
     assert "error: argument --" in captured.err
 
 
+
+def _cover_doc(**fields):
+    doc = {"n_points": 3, "fiber_dims": [1, 1, 1], "covers": [[[1, 2], [2, 3]]]}
+    return {**doc, **fields}
+
+
+def _sumpool_doc(path, value):
+    doc = json.loads(Path(SUMPOOL).read_text())
+    *keys, last = path
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("cohomology", _cover_doc(fiber_dims=[1.5, 1, 1]), "fiber_dims"),
+    ("cohomology", _cover_doc(covers=[[[1.9, 2]]]), "covers"),
+    ("cohomology", _cover_doc(n_points=True), "n_points"),
+    ("cohomology", _cover_doc(n_points="3"), "n_points"),
+    ("cohomology", _cover_doc(n_points=4, fiber_dims=[1] * 4, structure={
+        "kind": "grid", "rows": 2, "cols": 2.5}), "cols"),
+    ("cohomology", _cover_doc(n_points=3.0, fiber_dims=[1.0, 1, 1]), None),
+    ("wl-compare", {"n": 3.9, "edges": [[0, 1.7], [1, 2]]}, "n"),
+    ("wl-compare", {"n": 3, "edges": [[0, 1.7], [1, 2]]}, "edges"),
+    ("wl-compare", {"n": 3, "edges": [[0, 1], [1, 2]],
+                    "labels": [0, 0.5, 0]}, "labels"),
+    ("thm4.2", _sumpool_doc(["layers", 0, "out_dim"], 1.6), "out_dim"),
+    ("thm4.2", _sumpool_doc(["layers", 0, "aggregation", 0], [0, 1.2]),
+     "aggregation"),
+    ("thm4.2", _sumpool_doc(["stages", 1, 0], [1, 2.5]), "stages"),
+    ("thm4.2", _sumpool_doc(["space", "fiber_dims", 0], 1.1), "fiber_dims"),
+])
+def test_non_integral_json_numbers_exit_2(capsys, tmp_path, command, doc,
+                                          field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {"cohomology": ["cohomology", "--cover", str(path)],
+            "wl-compare": ["wl-compare", str(path), P3],
+            "thm4.2": ["witness", "thm4.2", "--net", str(path)]}[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if field is None:  # floats with integral values are integers
+        assert code == 0
+        assert json.loads(captured.out)["reports"][0]["h"] == [3, 0]
+        return
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert f"{field} must be an integer" in err
+
+
 def test_attack_on_a_1500_deep_phi_network(capsys, tmp_path):
     # phi reads its token through 1,500 nested tanh nodes
     depth = 1_500
