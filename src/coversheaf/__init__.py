@@ -9,17 +9,15 @@ unreachable targets, and unfolding-tree comparisons of graphs.
 """
 
 from .topology import (AxiomReport, Cover, CoverSequence, MarkedSpace,
-                       Nerve, OpenSet, StageAxioms, check_na_axioms,
-                       global_stage, has_proper_union,
-                       load_space_document, make_cover, nerve,
+                       OpenSet, StageAxioms, check_na_axioms, global_stage,
+                       has_proper_union, load_space_document, make_cover,
                        singleton_stage)
 from .sections import (ACTIVATIONS, Activation, Section, affine_section,
                        compose_coord, constant_section, evaluate,
-                       mixed_difference, open_set_dim,
-                       polynomial_coefficients, polynomial_section,
-                       product_counterexample, projection_map,
-                       sections_equal, slot_layout, zero_pad_map,
-                       zero_section)
+                       open_set_dim, polynomial_coefficients,
+                       polynomial_section, product_counterexample,
+                       projection_map, sections_equal, slot_layout,
+                       zero_pad_map, zero_section)
 from .cech import (CechComplex, ExactnessReport, build_cech_complex,
                    cech_cohomology, flasque_check, hom_report_json,
                    rank_cross_check, restriction_matrix, sheaf_axiom_check)

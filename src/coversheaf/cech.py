@@ -11,9 +11,10 @@ contributes k * d_p copies of the cochain complex of the full simplex on
 the m_p elements that contain p (duplicate elements count twice), with
 the elements in cover order so the coboundary signs agree.
 
-Cohomology and the axiom check group the points by m_p and certify one
-simplex block per distinct m_p by exact integer elimination; dimensions
-and ranks of the whole complex are the weighted sums of the blocks'.
+Cohomology and the axiom check group the points by m_p and read one
+pass that builds the simplex block of each distinct m_p once and
+certifies it by exact integer elimination; dimensions and ranks of the
+whole complex are the weighted sums of the blocks'.
 ``build_cech_complex`` still assembles the dense complex of any cover:
 it builds the blocks, and tests compare the block route against it.
 
@@ -159,32 +160,6 @@ def _rank(matrix: np.ndarray) -> int:
     return exact_rank(matrix) if matrix.size else 0
 
 
-def _cohomology_dims(cover: Cover, fibers: Sequence[int], k: int,
-                     max_degree: int) -> tuple[list[int], list[int]]:
-    """h^0..h^max_degree and the cochain dimensions of the same degrees."""
-    dims = [0] * (max_degree + 2)
-    ranks = [0] * (max_degree + 1)
-    for m, weight in _point_blocks(cover, fibers, k).items():
-        block = _simplex_block(m, max_degree)
-        for q, d in enumerate(block.dims):
-            dims[q] += weight * d
-        for q, delta in enumerate(block.coboundaries):
-            ranks[q] += weight * _rank(delta)
-    h = [dims[q] - ranks[q] - (ranks[q - 1] if q else 0)
-         for q in range(max_degree + 1)]
-    return h, dims[:max_degree + 1]
-
-
-def cech_cohomology(cover: Cover, fibers: Sequence[int], k: int,
-                    max_degree: int = 1) -> list[int]:
-    """Dimensions h^0..h^max_degree, via exact integer ranks.
-
-    h^q = dim ker(delta_q) - rank(delta_{q-1}), summed over the
-    per-point simplex blocks.
-    """
-    return _cohomology_dims(cover, fibers, k, max_degree)[0]
-
-
 @dataclass(frozen=True)
 class ExactnessReport:
     """Result of the two-sided section-space axiom check on one cover."""
@@ -215,6 +190,65 @@ class ExactnessReport:
         }
 
 
+def _block_pass(cover: Cover, fibers: Sequence[int], k: int, max_degree: int
+                ) -> tuple[list[int], list[int], ExactnessReport]:
+    """h^0..h^max_degree, the cochain dimensions of the same degrees and
+    the axiom check of one cover, from one build of each simplex block.
+
+    Dimensions and coboundary ranks are weighted sums over the blocks;
+    so are the axiom quantities, which on a block on m elements are the
+    ranks of the m x 1 all-ones restriction column and of its transpose,
+    and delta_0 applied to that column.
+    """
+    weights = _point_blocks(cover, fibers, k)
+    dims = [0] * (max_degree + 2)
+    ranks = [0] * (max_degree + 1)
+    rank_first = rank_ext = 0
+    composition_zero = True
+    for m, weight in weights.items():
+        block = _simplex_block(m, max_degree)
+        for q, d in enumerate(block.dims):
+            dims[q] += weight * d
+        for q, delta in enumerate(block.coboundaries):
+            ranks[q] += weight * _rank(delta)
+        first = np.ones((m, 1), dtype=np.int64)
+        rank_first += weight * _rank(first)
+        rank_ext += weight * _rank(first.T)
+        composition_zero = composition_zero and \
+            not np.any(block.coboundaries[0] @ first)
+    h = [dims[q] - ranks[q] - (ranks[q - 1] if q else 0)
+         for q in range(max_degree + 1)]
+
+    dim_global = sum(weights.values())
+    injective = rank_first == dim_global
+    exact_middle = composition_zero and dims[0] - ranks[0] == rank_first
+    coker = dim_global - rank_ext
+    report = ExactnessReport(
+        cover_id=";".join(el.id for el in cover.elements),
+        dim_global=dim_global,
+        dim_product=dims[0],
+        dim_pairwise=dims[1],
+        rank_restriction=rank_first,
+        rank_delta0=ranks[0],
+        injective=injective,
+        exact_middle=exact_middle,
+        composition_zero=composition_zero,
+        cosheaf_coker_dim=coker,
+        passed=injective and exact_middle and coker == 0,
+    )
+    return h, dims[:max_degree + 1], report
+
+
+def cech_cohomology(cover: Cover, fibers: Sequence[int], k: int,
+                    max_degree: int = 1) -> list[int]:
+    """Dimensions h^0..h^max_degree, via exact integer ranks.
+
+    h^q = dim ker(delta_q) - rank(delta_{q-1}), summed over the
+    per-point simplex blocks.
+    """
+    return _block_pass(cover, fibers, k, max_degree)[0]
+
+
 def sheaf_axiom_check(cover: Cover, fibers: Sequence[int], k: int) -> ExactnessReport:
     """Verify both halves of the gluing axiom for Hom sections.
 
@@ -226,37 +260,7 @@ def sheaf_axiom_check(cover: Cover, fibers: Sequence[int], k: int) -> ExactnessR
     restriction is the all-ones column and its transpose the sum of
     inclusions.
     """
-    weights = _point_blocks(cover, fibers, k)
-    dim_global = sum(weights.values())
-    dim_product = dim_pairwise = rank_first = rank_delta0 = rank_ext = 0
-    composition_zero = True
-    for m, weight in weights.items():
-        block = _simplex_block(m, max_degree=0)
-        first = np.ones((m, 1), dtype=np.int64)
-        delta0 = block.coboundaries[0]
-        dim_product += weight * block.dims[0]
-        dim_pairwise += weight * block.dims[1]
-        rank_first += weight * _rank(first)
-        rank_delta0 += weight * _rank(delta0)
-        rank_ext += weight * _rank(first.T)
-        composition_zero = composition_zero and not np.any(delta0 @ first)
-
-    injective = rank_first == dim_global
-    exact_middle = composition_zero and dim_product - rank_delta0 == rank_first
-    coker = dim_global - rank_ext
-    return ExactnessReport(
-        cover_id=";".join(el.id for el in cover.elements),
-        dim_global=dim_global,
-        dim_product=dim_product,
-        dim_pairwise=dim_pairwise,
-        rank_restriction=rank_first,
-        rank_delta0=rank_delta0,
-        injective=injective,
-        exact_middle=exact_middle,
-        composition_zero=composition_zero,
-        cosheaf_coker_dim=coker,
-        passed=injective and exact_middle and coker == 0,
-    )
+    return _block_pass(cover, fibers, k, max_degree=0)[2]
 
 
 def flasque_check(fibers: Sequence[int], k: int,

@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 from .topology import (CoverSequence, MarkedSpace, check_na_axioms,
                        global_stage, load_space_document, make_cover,
                        singleton_stage)
-from .cech import _cohomology_dims, hom_report_json, sheaf_axiom_check
+from .cech import _block_pass, hom_report_json
 from .network import (InclusionLayer, build_attention, build_cnn,
                       build_sequential, factors_check, forward,
                       network_from_json, positional_encoding)
@@ -36,7 +35,7 @@ from .witnesses import (adversarial_attack, dataset_dependency, glue_report,
                         indistinguishability_report, kernel_report,
                         locality_witness, pooled_collision,
                         surjectivity_witness)
-from .graphs import compare_graphs, load_graph, unfolding_codes
+from .graphs import compare_graphs, load_graph
 
 _GATE_KEYS = ("verdict", "ok")
 
@@ -121,10 +120,9 @@ def _cmd_cohomology(args) -> tuple[list[dict], dict]:
     fibers = space.fiber_dims
     reports: list[dict] = []
     for i, cover in enumerate(covers):
-        entry = hom_report_json(
-            i, *_cohomology_dims(cover, fibers, args.k, args.depth))
+        h, dims, ex = _block_pass(cover, fibers, args.k, args.depth)
+        entry = hom_report_json(i, h, dims)
         entry.update(kind="cohomology", ok=entry["exact"])
-        ex = sheaf_axiom_check(cover, fibers, args.k)
         reports.append(entry)
         reports.append({"kind": "exactness", **ex.to_json(), "ok": ex.passed})
     config = {"cover": args.cover, "k": args.k, "depth": args.depth,
@@ -179,18 +177,13 @@ def _cmd_witness(args) -> tuple[list[dict], dict]:
     return [g.to_json(), kr.to_json()], config
 
 
-def _code_histogram(g, depth: int) -> list[list]:
-    counts = Counter(c.decode("ascii") for c in unfolding_codes(g, depth))
-    return [[code, n] for code, n in sorted(counts.items())]
-
-
 def _cmd_wl_compare(args) -> tuple[list[dict], dict]:
     g1 = load_graph(_require_file(args.first))
     g2 = load_graph(_require_file(args.second))
     res = compare_graphs(g1, g2, args.depth)
     entry = {"kind": "wl-compare", "depth": args.depth, **res.to_json(),
-             "histograms": [_code_histogram(g1, args.depth),
-                            _code_histogram(g2, args.depth)]}
+             "histograms": [[[code, n] for code, n in sorted(c.items())]
+                            for c in res.counts]}
     config = {"first": args.first, "second": args.second,
               "depth": args.depth, "seed": args.seed}
     return [entry], config

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .topology import _json_int, _read_source
@@ -41,6 +41,8 @@ class Graph:
             raise ValueError("node count must be nonnegative")
         norm = []
         for e in self.edges:
+            if len(e) != 2:
+                raise ValueError(f"edge {e} needs exactly two endpoints")
             u, v = int(e[0]), int(e[1])
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {e} references unknown nodes")
@@ -293,6 +295,7 @@ class ComparisonResult:
     distinguishable: bool
     depth: int
     evidence: dict
+    counts: tuple[Counter, Counter] = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {"distinguishable": self.distinguishable, "depth": self.depth,
@@ -305,19 +308,19 @@ def compare_graphs(g1: Graph, g2: Graph, k: int) -> ComparisonResult:
     Equal multisets mean the graphs are indistinguishable by depth-k
     unfolding trees (equivalently by k rounds of color refinement);
     the evidence then carries the shared code histogram.  Otherwise it
-    names a code with differing multiplicities.
+    names a code with differing multiplicities.  ``counts`` keeps both
+    graphs' code histograms for reports; ``to_json`` leaves them out.
     """
     c1 = Counter(code.decode() for code in unfolding_codes(g1, k))
     c2 = Counter(code.decode() for code in unfolding_codes(g2, k))
     if c1 == c2:
-        return ComparisonResult(
-            distinguishable=False, depth=k,
-            evidence={"histogram": {c: c1[c] for c in sorted(c1)}})
-    diff = sorted(c for c in (set(c1) | set(c2)) if c1[c] != c2[c])[0]
-    return ComparisonResult(
-        distinguishable=True, depth=k,
-        evidence={"code": diff, "count_first": c1[diff],
-                  "count_second": c2[diff]})
+        evidence = {"histogram": {c: c1[c] for c in sorted(c1)}}
+    else:
+        diff = sorted(c for c in (set(c1) | set(c2)) if c1[c] != c2[c])[0]
+        evidence = {"code": diff, "count_first": c1[diff],
+                    "count_second": c2[diff]}
+    return ComparisonResult(distinguishable=c1 != c2, depth=k,
+                            evidence=evidence, counts=(c1, c2))
 
 
 # ---------------------------------------------------------------------------

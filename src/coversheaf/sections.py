@@ -25,7 +25,7 @@ set evaluates a section at the zero vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -60,12 +60,25 @@ def open_set_dim(members: frozenset[int] | Iterable[int],
 
 
 class Node:
-    """Base class for expression nodes.  Instances are immutable."""
+    """Base class for expression nodes.  Instances are immutable.
+
+    Nodes compare and hash by identity, and repr names the children by
+    type only, so neither walks into the DAG below a node.
+    """
 
     __slots__ = ()
 
+    def __repr__(self) -> str:
+        def show(v) -> str:
+            if isinstance(v, tuple) and v and isinstance(v[0], Node):
+                return "(" + ", ".join(map(show, v)) + ")"
+            return f"<{type(v).__name__}>" if isinstance(v, Node) else repr(v)
+        args = ", ".join(f"{f.name}={show(getattr(self, f.name))}"
+                         for f in fields(self))
+        return f"{type(self).__name__}({args})"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Coords(Node):
     """Select input coordinates; width = number of indices."""
 
@@ -75,7 +88,7 @@ class Coords(Node):
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Node):
     values: tuple[float, ...]
 
@@ -83,7 +96,7 @@ class Const(Node):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Affine(Node):
     """matrix @ child + bias; matrix is row-major (out_dim x in_dim)."""
 
@@ -101,7 +114,7 @@ class Affine(Node):
             raise ValueError("matrix rows must have equal length")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Activation(Node):
     name: str
     child: Node
@@ -111,7 +124,7 @@ class Activation(Node):
             raise ValueError(f"unknown activation {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Product(Node):
     """Coordinatewise product of equal-width children."""
 
@@ -123,7 +136,7 @@ class Product(Node):
         object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(Node):
     children: tuple[Node, ...]
 
@@ -133,7 +146,7 @@ class Sum(Node):
         object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Max(Node):
     """Coordinatewise maximum over a finite set of children."""
 
@@ -312,31 +325,14 @@ class CoordMap:
     outside U.
     """
 
-    kind: str
     source: OpenSet
-    target: OpenSet
     source_dim: int
     target_dim: int
     slots: tuple[int | None, ...]
 
     def __post_init__(self):
-        if self.kind not in ("projection", "zero_pad"):
-            raise ValueError(f"unknown coordinate map kind {self.kind!r}")
         if len(self.slots) != self.target_dim:
             raise ValueError("slots length must equal target dimension")
-
-    def __call__(self, y) -> np.ndarray:
-        arr = np.asarray(y, dtype=float)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.shape[1] != self.source_dim:
-            raise ValueError("input does not match source dimension")
-        out = np.zeros((arr.shape[0], self.target_dim))
-        for t, s in enumerate(self.slots):
-            if s is not None:
-                out[:, t] = arr[:, s]
-        return out[0] if single else out
 
 
 def projection_map(fibers: Sequence[int], big: OpenSet, small: OpenSet) -> CoordMap:
@@ -347,8 +343,7 @@ def projection_map(fibers: Sequence[int], big: OpenSet, small: OpenSet) -> Coord
     slots: list[int | None] = []
     for p in sorted(small.members):
         slots.extend(src[p])
-    return CoordMap(kind="projection", source=big, target=small,
-                    source_dim=open_set_dim(big.members, fibers),
+    return CoordMap(source=big, source_dim=open_set_dim(big.members, fibers),
                     target_dim=open_set_dim(small.members, fibers),
                     slots=tuple(slots))
 
@@ -364,8 +359,7 @@ def zero_pad_map(fibers: Sequence[int], small: OpenSet, big: OpenSet) -> CoordMa
             slots.extend(src[p])
         else:
             slots.extend([None] * fibers[p - 1])
-    return CoordMap(kind="zero_pad", source=small, target=big,
-                    source_dim=open_set_dim(small.members, fibers),
+    return CoordMap(source=small, source_dim=open_set_dim(small.members, fibers),
                     target_dim=open_set_dim(big.members, fibers),
                     slots=tuple(slots))
 
@@ -504,27 +498,6 @@ def sections_equal(a: Section, b: Section, n_samples: int = 100,
 def zero_section(domain_dim: int, codomain_dim: int,
                  domain: OpenSet | None = None) -> Section:
     return constant_section(domain_dim, [0.0] * codomain_dim, domain=domain)
-
-
-def mixed_difference(section: Section, i: int, j: int, base, h: float) -> np.ndarray:
-    """Second mixed finite difference along coordinates i and j.
-
-    f(b + h e_i + h e_j) - f(b + h e_i) - f(b + h e_j) + f(b).
-    Exactly zero (up to rounding) for any sum of terms none of which
-    depends on both coordinates; nonzero for genuinely joint terms.
-    """
-    if i == j:
-        raise ValueError("mixed difference needs two distinct coordinates")
-    b = np.asarray(base, dtype=float)
-    if b.shape != (section.domain_dim,):
-        raise ValueError("base point dimension mismatch")
-    pts = np.stack([b, b, b, b])
-    pts[0, i] += h
-    pts[0, j] += h
-    pts[1, i] += h
-    pts[2, j] += h
-    vals = evaluate(section, pts)
-    return vals[0] - vals[1] - vals[2] + vals[3]
 
 
 # ---------------------------------------------------------------------------

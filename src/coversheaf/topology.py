@@ -14,12 +14,11 @@ format.
 
 from __future__ import annotations
 
-import itertools
 import json
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 _STRUCTURE_KINDS = ("grid", "graph", "line", "abstract")
 
@@ -74,8 +73,6 @@ class OpenSet:
             raise ValueError("point indices are 1-based")
 
 
-
-
 @dataclass(frozen=True)
 class Cover:
     """An ordered family of open sets over a marked space.
@@ -114,37 +111,6 @@ def make_cover(space: MarkedSpace, memberships: Sequence[Iterable[int]],
     els = tuple(OpenSet(id=f"{prefix}{i}", members=frozenset(m))
                 for i, m in enumerate(memberships))
     return Cover(space=space, elements=els)
-
-
-@dataclass(frozen=True)
-class Nerve:
-    """Intersection data of a cover.
-
-    ``faces`` maps a sorted tuple of element indices S (|S| <= max_order)
-    to the membership set of the intersection of those elements.
-    """
-
-    cover: Cover
-    max_order: int
-    faces: Mapping[tuple[int, ...], frozenset[int]]
-
-
-def nerve(cover: Cover, max_order: int | None = None) -> Nerve:
-    n = len(cover.elements)
-    if max_order is None:
-        max_order = n
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
-    max_order = min(max_order, n)
-    sets = cover.memberships()
-    faces: dict[tuple[int, ...], frozenset[int]] = {}
-    for size in range(1, max_order + 1):
-        for combo in itertools.combinations(range(n), size):
-            inter = sets[combo[0]]
-            for i in combo[1:]:
-                inter = inter & sets[i]
-            faces[combo] = inter
-    return Nerve(cover=cover, max_order=max_order, faces=faces)
 
 
 @dataclass(frozen=True)

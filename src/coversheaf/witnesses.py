@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import nullspace_basis
-from .topology import Cover, Nerve, OpenSet, has_proper_union
+from .topology import Cover, OpenSet, has_proper_union
 from .sections import (Const, Section, Sum, _accumulate, affine_section,
-                       compose_coord, evaluate, mixed_difference, open_set_dim,
+                       compose_coord, evaluate, open_set_dim,
                        polynomial_coefficients, polynomial_section,
                        product_counterexample, projection_map, sections_equal,
                        slot_layout, zero_pad_map, zero_section, ACTIVATIONS)
@@ -255,7 +255,6 @@ def _negate(section: Section) -> Section:
 
 
 def glue_inclusion_exclusion(locals_: Sequence[Section], cover: Cover,
-                             nerve: Nerve | None = None,
                              tol: float = 1e-9, n_samples: int = 100,
                              seed: int = 0) -> Section:
     """Glue pairwise-compatible locals by inclusion-exclusion over faces.
@@ -267,9 +266,7 @@ def glue_inclusion_exclusion(locals_: Sequence[Section], cover: Cover,
 
     Every subset is enumerated, not just those with nonempty-membership
     faces: an empty-membership face carries the constant f(0), and the
-    telescoping identity behind the formula needs those constants.  A
-    `nerve` argument is validated against the cover but does not prune
-    the enumeration.
+    telescoping identity behind the formula needs those constants.
 
     Compatibility is checked extensionally on every pairwise overlap,
     including empty-membership overlaps, where both sides must take the
@@ -280,8 +277,6 @@ def glue_inclusion_exclusion(locals_: Sequence[Section], cover: Cover,
     fibers = cover.space.fiber_dims
     mems = cover.memberships()
     n = len(mems)
-    if nerve is not None and nerve.cover is not cover:
-        raise ValueError("nerve was built from a different cover")
     if len(locals_) != n:
         raise ValueError("one local section per cover element required")
     ks = {s.codomain_dim for s in locals_}
@@ -902,7 +897,7 @@ def dataset_dependency(net: Network, grid_points: int = 10_000,
         target_sec = product_counterexample(U, net.space.fiber_dims, k)
         t_base = np.ones(net.input_dim)
         t_base[list(slots)] = 0.0
-        t_md = mixed_difference(target_sec, slots[0], slots[1], t_base, 1.0)
+        t_md = multi_mixed_difference(target_sec, slots, t_base, 1.0)
         target_val = float(np.max(np.abs(t_md)))
         verdict = worst <= 1e-9 and target_val == 1.0
         measured = {"branch": branch, "cross_pair": list(pair),

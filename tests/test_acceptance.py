@@ -23,8 +23,7 @@ from coversheaf.network import (InclusionLayer, Network, build_attention,
                                 build_cnn, build_sequential,
                                 positional_encoding)
 from coversheaf.sections import (ACTIVATIONS, Const, Section, Sum,
-                                 affine_section, compose_coord,
-                                 mixed_difference, open_set_dim,
+                                 affine_section, compose_coord, open_set_dim,
                                  polynomial_coefficients, polynomial_section,
                                  product_counterexample, projection_map,
                                  sections_equal, zero_pad_map)
@@ -35,6 +34,7 @@ from coversheaf.witnesses import (IncompatibleLocalsError, adversarial_attack,
                                   classify_activation,
                                   cosheaf_kernel_decompose, dataset_dependency,
                                   glue_inclusion_exclusion, locality_witness,
+                                  multi_mixed_difference,
                                   surjectivity_witness)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -130,7 +130,7 @@ def test_product_section_escapes_separable_sums():
     cover = make_cover(sp, [[1], [2]])
     U = OpenSet(id="u", members=frozenset({1, 2}))
     prod = product_counterexample(U, (1, 1), 1)
-    md = mixed_difference(prod, 0, 1, np.zeros(2), 1.0)
+    md = multi_mixed_difference(prod, [0, 1], np.zeros(2), 1.0)
     assert md.tolist() == [1.0]
     rep = surjectivity_witness(cover, (1, 1), 1, n_trials=50, seed=0)
     assert rep.verdict

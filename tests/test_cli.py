@@ -2,10 +2,13 @@
 
 import json
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from coversheaf import cech, graphs
 from coversheaf.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -262,3 +265,61 @@ def test_attack_on_a_1500_deep_phi_network(capsys, tmp_path):
     code, out = run(capsys, "witness", "thm4.2", "--net", str(path))
     assert code == 0
     assert out["reports"][0]["measured"]["null_space_dim"] == 2
+
+
+@pytest.mark.parametrize("edges", [[[0]], [[0, 1, 2], [1, 2]]])
+def test_edges_need_exactly_two_endpoints(capsys, tmp_path, edges):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n": 3, "edges": edges}))
+    code = main(["wl-compare", str(path), P3])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert "exactly two endpoints" in err
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Record the arguments of every call to ``module.name``, wherever a
+    coversheaf module has bound that function."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("coversheaf") and \
+                getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_cohomology_builds_each_block_once_per_cover(capsys, tmp_path,
+                                                     monkeypatch):
+    covers = [[[1, 2], [2, 3], [1, 3]],
+              [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 5]],
+              [[1], [2]],
+              [[1, 2, 3, 4, 5], [1, 2, 3, 4, 5]]]
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps({"n_points": 5, "fiber_dims": [1, 2, 1, 1, 3],
+                                "covers": covers}))
+    calls = count_calls(monkeypatch, cech, "build_cech_complex")
+    assert main(["cohomology", "--cover", str(path), "--depth", "3"]) == 0
+    capsys.readouterr()
+    # one block per distinct multiplicity m of a covered point
+    want = Counter(m for members in covers for m in set(
+        Counter(p for el in members for p in el).values()))
+    assert want == {2: 3, 3: 1, 1: 1}
+    assert Counter(len(cover.elements) for cover, *_ in calls) == want
+    assert all(args[1:] == ((1,), 1, 3) for args in calls)
+
+
+def test_wl_compare_computes_codes_once_per_graph(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, graphs, "unfolding_codes")
+    assert main(["wl-compare", C6, TWO_C3, "--depth", "8"]) == 0
+    capsys.readouterr()
+    assert [(g.edges, k) for g, k in calls] == [
+        (graphs.load_graph(C6).edges, 8), (graphs.load_graph(TWO_C3).edges, 8)]

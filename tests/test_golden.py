@@ -1,0 +1,51 @@
+"""Golden reports: CLI output that must not change byte for byte.
+
+Each file under ``tests/golden/`` holds the stdout of one command line,
+with the timestamp and the fixture directory scrubbed.  These reports
+hold only integers and strings, so no BLAS rounding can move them.
+Regenerate a file only with a change that means to alter its report,
+and name that change in CHANGES.md.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from coversheaf.cli import main
+
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE.parent / "fixtures"
+GOLDEN = HERE / "golden"
+
+CASES = {
+    "axioms_triangle": ["axioms", "--cover", "triangle.json"],
+    "cohomology_two_disjoint_k2": ["cohomology", "--cover",
+                                   "two_disjoint.json", "--k", "2"],
+    "cohomology_triangle_depth3": ["cohomology", "--cover", "triangle.json",
+                                   "--depth", "3"],
+    "wl_c6_2c3_depth8": ["wl-compare", "c6.json", "2c3.json",
+                         "--depth", "8"],
+    "wl_p3_c3_depth2": ["wl-compare", "p3.json", "c3.json", "--depth", "2"],
+}
+
+
+def _argv(args: list[str]) -> list[str]:
+    return [str(FIXTURES / a) if a.endswith(".json") else a for a in args]
+
+
+def _scrub(text: str) -> str:
+    text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', text)
+    return text.replace(str(FIXTURES), "fixtures")
+
+
+def report(capsys, args: list[str]) -> str:
+    code = main(_argv(args))
+    assert code == 0, args
+    return _scrub(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(capsys, name):
+    want = (GOLDEN / f"{name}.json").read_text()
+    assert report(capsys, CASES[name]) == want

@@ -12,13 +12,14 @@ from coversheaf.sections import (ACTIVATIONS, Activation, Affine, Const,
                                  Coords, Product, Section, Sum,
                                  affine_section, compose_coord,
                                  constant_section, evaluate,
-                                 identity_section, mixed_difference,
-                                 open_set_dim, polynomial_coefficients,
+                                 identity_section, open_set_dim,
+                                 polynomial_coefficients,
                                  polynomial_section, product_counterexample,
                                  projection_map, section_from_json,
                                  section_to_json, sections_equal,
                                  shift_section, slot_layout, zero_pad_map,
                                  zero_section)
+from coversheaf.witnesses import multi_mixed_difference
 
 UNIT3 = (1, 1, 1)
 U_ALL = OpenSet(id="all", members=frozenset({1, 2, 3}))
@@ -102,7 +103,7 @@ def test_product_restricts_to_zero_exactly():
 def test_mixed_difference_of_product_is_one():
     u = OpenSet(id="uv", members=frozenset({1, 2}))
     h = product_counterexample(u, (1, 1), 1)
-    md = mixed_difference(h, 0, 1, np.zeros(2), 1.0)
+    md = multi_mixed_difference(h, [0, 1], np.zeros(2), 1.0)
     assert md.tolist() == [1.0]
 
 
@@ -122,7 +123,7 @@ def test_mixed_difference_of_separable_sum_vanishes():
         s = Section(domain_dim=2, codomain_dim=1,
                     body=Sum((e1.body, e2.body)), domain=u)
         base = rng.standard_normal(2)
-        md = mixed_difference(s, 0, 1, base, 1.0)
+        md = multi_mixed_difference(s, [0, 1], base, 1.0)
         worst = max(worst, float(np.max(np.abs(md))))
     assert worst <= 1e-12
 
@@ -250,3 +251,24 @@ def test_deep_dag_coefficients_and_json_round_trip():
     doc = section_to_json(sec)
     assert doc["root"] == DEEP + 2
     assert section_to_json(section_from_json(doc)) == doc
+
+
+def tanh_chain(depth: int) -> Section:
+    body = Coords((0,))
+    for _ in range(depth):
+        body = Activation("tanh", body)
+    return Section(domain_dim=1, codomain_dim=1, body=body)
+
+
+def test_deep_sections_compare_hash_and_print():
+    # nodes compare and hash by identity, and repr stops at the children
+    a, b = tanh_chain(1_500), tanh_chain(1_500)
+    assert a != b and a == a and a == Section(1, 1, a.body)
+    assert hash(a) == hash(Section(1, 1, a.body))
+    assert len({a, b}) == 2
+    assert repr(a.body) == "Activation(name='tanh', child=<Activation>)"
+    assert len(repr(a)) < 200
+    assert Coords((0,)) != Coords((0,))
+    assert repr(Sum((Coords((0,)), Const((1.0,))))) == \
+        "Sum(children=(<Coords>, <Const>))"
+    assert repr(Coords((0, 1))) == "Coords(indices=(0, 1))"

@@ -7,7 +7,7 @@ import pytest
 from coversheaf.topology import (CoverSequence, MarkedSpace, OpenSet,
                                  check_na_axioms, global_stage,
                                  has_proper_union, load_space_document,
-                                 make_cover, nerve, singleton_stage)
+                                 make_cover, singleton_stage)
 from coversheaf.network import build_cnn, build_rnn_cover
 
 
@@ -54,19 +54,6 @@ def test_cover_validation():
 def test_cover_may_undercover():
     cov = make_cover(space(4), [[1], [2]])
     assert cov.covered == {1, 2}
-
-
-def test_nerve_triangle_faces():
-    sp = space(3)
-    cov = make_cover(sp, [[1, 2], [2, 3], [1, 3]])
-    nv = nerve(cov)
-    assert nv.faces[(0,)] == {1, 2}
-    assert nv.faces[(0, 1)] == {2}
-    assert nv.faces[(1, 2)] == {3}
-    assert nv.faces[(0, 2)] == {1}
-    assert nv.faces[(0, 1, 2)] == frozenset()
-    assert nerve(cov, max_order=2).faces.keys() == {
-        (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)}
 
 
 def test_cover_sequence_endpoint_validation():

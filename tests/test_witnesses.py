@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coversheaf.topology import MarkedSpace, OpenSet, make_cover, nerve
+from coversheaf.topology import MarkedSpace, OpenSet, make_cover
 from coversheaf.sections import (affine_section, evaluate,
                                  polynomial_coefficients, polynomial_section,
                                  product_counterexample)
@@ -106,17 +106,6 @@ def test_glue_incompatible_pair_is_named():
     with pytest.raises(IncompatibleLocalsError) as err:
         glue_inclusion_exclusion(locals_, cover)
     assert 1 in err.value.pair
-
-
-def test_glue_nerve_argument():
-    cover = triangle_cover()
-    locals_ = [affine_section(np.ones((1, 2)), domain=el)
-               for el in cover.elements]
-    glued = glue_inclusion_exclusion(locals_, cover, nerve=nerve(cover))
-    assert glued.codomain_dim == 1
-    with pytest.raises(ValueError):
-        glue_inclusion_exclusion(locals_, cover,
-                                 nerve=nerve(triangle_cover()))
 
 
 def test_kernel_decompose_worked_example():
