@@ -8,9 +8,13 @@ Two independent routes compute the depth-k unfolding partition:
 
 * materialize the tree and take its canonical code (exponential, used
   as the oracle on small inputs);
-* share subtree codes bottom-up per (node, remaining depth), which is
-  sound because every copy of u at remaining depth r roots a subtree
-  equal to the depth-r unfolding tree of u.
+* intern, per depth, each node's signature (label, sorted child ids)
+  into a small integer id, as in the WL subtree kernel's relabelling,
+  and render one canonical code per distinct id.  This is sound because
+  every copy of u at remaining depth r roots a subtree equal to the
+  depth-r unfolding tree of u, and equal signatures mean isomorphic
+  trees.  All nodes of a class share one ``bytes`` object, so the work
+  grows with the number of classes, not with the number of nodes.
 
 Color refinement keeps a per-round injective signature dictionary, so
 color classes can split but never merge and no hash collision can fake
@@ -201,25 +205,37 @@ def tree_canonical(tree: UnfoldingTree | TreeNode) -> bytes:
 def unfolding_code_levels(g: Graph, k: int) -> list[list[bytes]]:
     """Canonical codes of every node's unfolding tree, for depths 0..k.
 
-    Computed bottom-up with one code per (node, depth), which matches
-    tree_canonical(unfolding_tree(g, v, depth)) byte for byte.
+    Each level interns the signature (label, sorted child ids) of every
+    node into a per-level id and renders one code per id, children
+    sorted by their codes, so the result matches
+    tree_canonical(unfolding_tree(g, v, depth)) byte for byte.  Nodes
+    with equal codes at a level share one ``bytes`` object.
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
     adj = g.adjacency()
-    leaf = [b"(" + str(l).encode() + b")" for l in g.labels]
-    levels = [list(leaf)]
-    prev = leaf
+    table: dict = {}
+    ids = [table.setdefault(l, len(table)) for l in g.labels]
+    code = [b"(" + str(l).encode() + b")" for l in table]  # one per id
+    levels = [[code[i] for i in ids]]
     for _ in range(k):
-        cur = []
+        table = {}
+        nxt: list[bytes] = []
+        new_ids = []
         for v in range(g.n):
-            if adj[v]:
-                cur.append(b"(" + str(g.labels[v]).encode() + b"|"
-                           + b",".join(sorted(prev[u] for u in adj[v])) + b")")
-            else:
-                cur.append(leaf[v])
-        levels.append(cur)
-        prev = cur
+            sig = (g.labels[v], tuple(sorted(ids[u] for u in adj[v])))
+            i = table.get(sig)
+            if i is None:
+                i = table[sig] = len(nxt)
+                head = b"(" + str(sig[0]).encode()
+                if sig[1]:
+                    kids = sorted(code[c] for c in sig[1])
+                    nxt.append(head + b"|" + b",".join(kids) + b")")
+                else:
+                    nxt.append(head + b")")
+            new_ids.append(i)
+        ids, code = new_ids, nxt
+        levels.append([code[i] for i in ids])
     return levels
 
 
@@ -302,6 +318,12 @@ class ComparisonResult:
                 "evidence": self.evidence}
 
 
+def _histogram(codes: Sequence[bytes]) -> Counter:
+    """Decoded code -> multiplicity.  The nodes of a class share one
+    ``bytes`` object, so counting first decodes each class once."""
+    return Counter({code.decode(): n for code, n in Counter(codes).items()})
+
+
 def compare_graphs(g1: Graph, g2: Graph, k: int) -> ComparisonResult:
     """Compare the multisets of depth-k unfolding-tree codes.
 
@@ -311,8 +333,8 @@ def compare_graphs(g1: Graph, g2: Graph, k: int) -> ComparisonResult:
     names a code with differing multiplicities.  ``counts`` keeps both
     graphs' code histograms for reports; ``to_json`` leaves them out.
     """
-    c1 = Counter(code.decode() for code in unfolding_codes(g1, k))
-    c2 = Counter(code.decode() for code in unfolding_codes(g2, k))
+    c1 = _histogram(unfolding_codes(g1, k))
+    c2 = _histogram(unfolding_codes(g2, k))
     if c1 == c2:
         evidence = {"histogram": {c: c1[c] for c in sorted(c1)}}
     else:

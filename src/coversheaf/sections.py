@@ -230,7 +230,11 @@ class Section:
 
 
 def evaluate(section: Section, y) -> np.ndarray:
-    """Evaluate at one point (shape (d,)) or a batch (shape (n, d))."""
+    """Evaluate at one point (shape (d,)) or a batch (shape (n, d)).
+
+    Each intermediate value is dropped after its last consumer, so the
+    memory held grows with the DAG's width, not with its depth.
+    """
     arr = np.asarray(y, dtype=float)
     single = arr.ndim == 1
     if single:
@@ -239,8 +243,22 @@ def evaluate(section: Section, y) -> np.ndarray:
         raise ValueError(
             f"input shape {np.asarray(y).shape} does not match domain dim "
             f"{section.domain_dim}")
+    # drops[i]: the values whose last consumer is node i.  The root has
+    # no consumer, so it is never dropped; with two nodes the root is the
+    # only consumer, so there is nothing to drop early.
+    drops: dict[int, list[int]] = {}
+    if len(section.nodes) > 2:
+        last: dict[int, int] = {}
+        for i, node in enumerate(section.nodes):
+            if isinstance(node, (Affine, Activation)):
+                last[id(node.child)] = i
+            elif isinstance(node, (Product, Sum, Max)):
+                for c in node.children:
+                    last[id(c)] = i
+        for key, i in last.items():
+            drops.setdefault(i, []).append(key)
     vals: dict[int, np.ndarray] = {}
-    for node in section.nodes:
+    for i, node in enumerate(section.nodes):
         if isinstance(node, Coords):
             out = arr[:, list(node.indices)] if node.indices else \
                 np.zeros((arr.shape[0], 0))
@@ -265,6 +283,8 @@ def evaluate(section: Section, y) -> np.ndarray:
             for c in node.children[1:]:
                 out = np.maximum(out, vals[id(c)])
         vals[id(node)] = out
+        for key in drops.get(i, ()):
+            del vals[key]
     return out[0] if single else out
 
 

@@ -5,6 +5,7 @@ checklist.  Tolerances are stated next to the assertions they gate.
 """
 
 import itertools
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+import coversheaf
 from coversheaf.cech import cech_cohomology, sheaf_axiom_check
 from coversheaf.cli import main
 from coversheaf.graphs import (Graph, compare_graphs, cycle_graph,
@@ -463,8 +465,13 @@ def test_cli_reports_are_deterministic(capsys):
     cmd = ("from coversheaf.cli import main; import sys; "
            "sys.exit(main(['cohomology', '--cover', "
            f"r'{FIXTURES / 'two_disjoint.json'}']))")
+    # the child imports the same package as this process, whatever the
+    # caller's PYTHONPATH says
+    src = str(Path(coversheaf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     runs = [subprocess.run([sys.executable, "-c", cmd], capture_output=True,
-                           text=True, check=True) for _ in range(2)]
+                           text=True, check=True, env=env) for _ in range(2)]
     assert _scrub(runs[0].stdout) == _scrub(runs[1].stdout)
     print(f"PASS {len(CLI_MATRIX)} command lines reproduce byte-identical "
           "reports (timestamp aside), in-process and across processes")

@@ -2,7 +2,9 @@
 
 Each file under ``tests/golden/`` holds the stdout of one command line,
 with the timestamp and the fixture directory scrubbed.  These reports
-hold only integers and strings, so no BLAS rounding can move them.
+hold integers, strings and floats that are exact by construction (the
+0.0 and 1.0 of ``witness prop2.8`` are products and sums of 0s and 1s,
+or exact rational results), so no BLAS rounding can move them.
 Regenerate a file only with a change that means to alter its report,
 and name that change in CHANGES.md.
 """
@@ -27,6 +29,11 @@ CASES = {
     "wl_c6_2c3_depth8": ["wl-compare", "c6.json", "2c3.json",
                          "--depth", "8"],
     "wl_p3_c3_depth2": ["wl-compare", "p3.json", "c3.json", "--depth", "2"],
+    # labels 2 and 10 sort one way as numbers and the other as bytes, so
+    # children ordered by class id instead of by code would show here
+    "wl_labeled_depth3": ["wl-compare", "labeled_a.json", "labeled_b.json",
+                          "--depth", "3"],
+    "witness_prop2.8": ["witness", "prop2.8"],
 }
 
 

@@ -1,6 +1,9 @@
 """Unfolding trees, color refinement and the equivalence between them."""
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +77,63 @@ def test_bottom_up_codes_match_recursive_trees():
             want = [tree_canonical(unfolding_tree(g, v, depth))
                     for v in range(g.n)]
             assert levels[depth] == want
+
+
+def per_node_code_levels(g, k):
+    """Oracle: one code per node and depth, each rendered from its
+    neighbors' codes, with no sharing between nodes."""
+    adj = g.adjacency()
+    leaf = [b"(" + str(l).encode() + b")" for l in g.labels]
+    levels = [leaf]
+    for _ in range(k):
+        prev = levels[-1]
+        levels.append([b"(" + str(g.labels[v]).encode() + b"|"
+                       + b",".join(sorted(prev[u] for u in adj[v])) + b")"
+                       if adj[v] else leaf[v] for v in range(g.n)])
+    return levels
+
+
+@st.composite
+def labeled_graphs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs \
+        else []
+    # 2 and 10 sort one way as numbers and the other as bytes
+    labels = draw(st.lists(st.sampled_from([0, 2, 10, 11]),
+                           min_size=n, max_size=n))
+    return Graph(n=n, edges=tuple(edges), labels=tuple(labels))
+
+
+@settings(max_examples=80, deadline=None)
+@given(labeled_graphs())
+def test_interned_codes_match_per_node_codes_and_trees(g):
+    levels = unfolding_code_levels(g, 4)
+    assert levels == per_node_code_levels(g, 4)
+    for depth in range(4):
+        assert levels[depth] == [tree_canonical(unfolding_tree(g, v, depth))
+                                 for v in range(g.n)]
+
+
+def _enumerate_workload_graphs(seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look themselves up here
+    spec.loader.exec_module(mod)
+    return mod.generate_enumerate(seed)["graphs"]
+
+
+def test_nodes_of_a_class_share_one_code_object():
+    graphs = _enumerate_workload_graphs(7)
+    for name in ("regular-a", "regular-b"):
+        codes = unfolding_codes(load_graph(graphs[name]), 9)
+        assert len({id(c) for c in codes}) == len(set(codes)) == 1
+    # an irregular graph keeps one object per class as well
+    g = Graph(n=6, edges=((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)),
+              labels=(2, 10, 2, 10, 2, 10))
+    for codes in unfolding_code_levels(g, 5):
+        assert len({id(c) for c in codes}) == len(set(codes))
 
 
 def test_isolated_nodes_stay_leaves():

@@ -1,5 +1,6 @@
 """Symbolic sections, coordinate maps and exact polynomial views."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,29 @@ def test_slot_layout_and_dims():
     assert {p: list(s) for p, s in layout.items()} == {1: [0, 1], 3: [2, 3, 4]}
     assert open_set_dim({1, 3}, (2, 1, 3)) == 5
     assert open_set_dim(frozenset(), (2, 1, 3)) == 0
+
+
+def test_evaluate_drops_each_value_after_its_last_use():
+    x = np.linspace(-1.0, 1.0, 20_000)[:, None]  # 160 kB per value
+    first = Activation("tanh", Coords((0,)))
+    node = first
+    for _ in range(300):
+        node = Activation("tanh", node)
+    # ``first`` is read again at the top, so it must outlive the chain
+    sec = Section(domain_dim=1, codomain_dim=1, body=Sum((node, first)))
+    tracemalloc.start()
+    try:
+        got = evaluate(sec, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = np.tanh(x)
+    top = want
+    for _ in range(300):
+        top = np.tanh(top)
+    assert np.array_equal(got, top + want)
+    # keeping every value would hold 300 of them
+    assert peak < 8 * x.nbytes
 
 
 def test_affine_evaluate():

@@ -1,25 +1,29 @@
 """Witness constructions: locality, surjectivity, gluing, kernel, attacks."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from coversheaf.topology import MarkedSpace, OpenSet, make_cover
-from coversheaf.sections import (affine_section, evaluate,
+from coversheaf.sections import (affine_section, compose_coord, evaluate,
                                  polynomial_coefficients, polynomial_section,
-                                 product_counterexample)
+                                 product_counterexample, slot_layout,
+                                 zero_pad_map)
 from coversheaf.network import (build_attention, build_cnn, build_sequential,
                                 forward, network_from_json)
 from coversheaf.witnesses import (AttackSpec, IncompatibleLocalsError,
                                   KernelPremiseError, WitnessReport,
                                   adversarial_attack, classify_activation,
                                   cosheaf_kernel_decompose,
-                                  dataset_dependency,
+                                  dataset_dependency, exact_mixed_difference,
                                   glue_inclusion_exclusion, glue_report,
-                                  kernel_report, locality_witness,
-                                  multi_mixed_difference, pooled_collision,
-                                  probe_points, surjectivity_witness)
+                                  inclusion_exclusion_faces, kernel_report,
+                                  locality_witness, multi_mixed_difference,
+                                  pooled_collision, probe_points,
+                                  surjectivity_witness)
+from test_acceptance import sweep_covers
 
 TRIANGLE = [[1, 2], [2, 3], [1, 3]]
 
@@ -62,7 +66,7 @@ def test_surjectivity_witness():
     rep = surjectivity_witness(cover, (2, 1, 1), k=2, n_trials=50, seed=0)
     assert rep.verdict
     assert rep.measured["product_alternating_difference"] == 1.0
-    assert rep.measured["max_separable_alternating_difference"] <= 1e-12
+    assert rep.measured["max_separable_alternating_difference"] == 0.0
 
 
 def test_multi_mixed_difference():
@@ -76,6 +80,30 @@ def test_multi_mixed_difference():
         multi_mixed_difference(aff, [0, 0], np.zeros(2), 1.0)
 
 
+def test_multi_mixed_difference_matches_the_subset_loop():
+    """Oracle: one point per subset of the slots, in itertools order,
+    summed with its sign; the results agree bit for bit."""
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        d = int(rng.integers(1, 9))
+        sec = affine_section(rng.standard_normal((2, d)),
+                             bias=rng.standard_normal(2))
+        size = int(rng.integers(1, d + 1))
+        slots = [int(x) for x in rng.choice(d, size=size, replace=False)]
+        base, h = rng.standard_normal(d), 0.37
+        pts, signs = [], []
+        for r in range(size + 1):
+            for sub in itertools.combinations(slots, r):
+                p = base.copy()
+                p[list(sub)] += h
+                pts.append(p)
+                signs.append((-1) ** (size - r))
+        vals = evaluate(sec, np.stack(pts))
+        want = sum(s * v for s, v in zip(signs, vals))
+        got = multi_mixed_difference(sec, slots, base, h)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_glue_round_trip_and_rejection():
     cover = triangle_cover()
     rep = glue_report(cover, k=2, seed=4)
@@ -83,6 +111,129 @@ def test_glue_round_trip_and_rejection():
     assert max(rep.measured["restriction_deviations"]) <= 1e-9
     rej = rep.measured["rejection"]
     assert rej["names_bumped_local"] and rej["deviation"] >= 0.999
+
+
+def brute_force_faces(mems):
+    """Oracle: the sum over every nonempty element subset S of
+    (-1)^(|S|+1) [face of S], the 2^n expansion the fold replaces."""
+    out = {}
+    for size in range(1, len(mems) + 1):
+        for sub in itertools.combinations(mems, size):
+            face = frozenset.intersection(*sub)
+            out[face] = out.get(face, 0) + (-1) ** (size + 1)
+    return {face: c for face, c in out.items() if c}
+
+
+def random_memberships(count=300, seed=2011):
+    """Up to 10 elements on up to 7 points, with empty and duplicate
+    elements."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 8))
+        mems = []
+        for _ in range(int(rng.integers(1, 11))):
+            roll = rng.random()
+            if roll < 0.1:
+                mems.append(frozenset())
+            elif roll < 0.25 and mems:
+                mems.append(mems[int(rng.integers(len(mems)))])
+            else:
+                mems.append(frozenset(p for p in range(1, n + 1)
+                                      if rng.random() < 0.6))
+        yield mems
+
+
+def chain(m):
+    return [[i + 1, i + 2] for i in range(m)]
+
+
+def complement(n):
+    return [[p for p in range(1, n + 1) if p != i] for i in range(1, n + 1)]
+
+
+def abstract_cover(members, fibers=None):
+    n = max(p for m in members for p in m)
+    sp = MarkedSpace(n_points=n, fiber_dims=fibers or (1,) * n)
+    return make_cover(sp, members)
+
+
+def test_folded_faces_match_the_subset_expansion():
+    cases = [cover.memberships() for cover, _ in sweep_covers()]
+    cases += [abstract_cover(m).memberships()
+              for m in (chain(9), complement(6), TRIANGLE)]
+    cases += list(random_memberships())
+    for mems in cases:
+        assert inclusion_exclusion_faces(mems) == brute_force_faces(mems)
+    assert len(cases) >= 392
+
+
+def test_glued_polynomial_is_the_visible_part_of_the_hidden_one():
+    """Gluing the restrictions of a polynomial recovers, coefficient for
+    coefficient, its monomials whose points lie in one element."""
+    rng = np.random.default_rng(5)
+    covers = [cover for cover, _ in sweep_covers()]
+    covers += [abstract_cover(chain(6), (1, 2, 1, 1, 2, 1, 1)),
+               abstract_cover(complement(5))]
+    for cover in covers:
+        fibers = cover.space.fiber_dims
+        mems = cover.memberships()
+        U = OpenSet(id="u", members=cover.covered)
+        owner = {slot: p for p, slots in slot_layout(U.members, fibers).items()
+                 for slot in slots}
+        d_U, k = len(owner), int(rng.integers(1, 3))
+        coeffs = [dict() for _ in range(k)]
+        for _ in range(6):
+            mono = [0] * d_U
+            for _ in range(int(rng.integers(0, 4))):
+                mono[int(rng.integers(0, d_U))] += 1
+            coeffs[int(rng.integers(0, k))][tuple(mono)] = \
+                Fraction(int(rng.integers(1, 8)), 4)
+        hidden = polynomial_section(d_U, k, coeffs, domain=U)
+        locals_ = [compose_coord(hidden, zero_pad_map(fibers, el, U))
+                   for el in cover.elements]
+        glued = glue_inclusion_exclusion(locals_, cover)
+
+        def visible(mono):
+            pts = {owner[i] for i, e in enumerate(mono) if e}
+            return any(pts <= m for m in mems)
+        want = [{m: c for m, c in poly.items() if visible(m)}
+                for poly in polynomial_coefficients(hidden)]
+        assert polynomial_coefficients(glued) == want
+
+
+@pytest.mark.parametrize("m", [11, 24])
+def test_glue_needs_one_term_per_distinct_face(m):
+    cover = abstract_cover(chain(m))
+    locals_ = [affine_section(np.ones((1, 2)), domain=el)
+               for el in cover.elements]
+    glued = glue_inclusion_exclusion(locals_, cover)
+    # m elements and m - 1 shared points; the empty face cancels
+    assert len(glued.body.children) == 2 * m - 1
+    assert glue_report(cover).verdict
+
+
+def test_exact_mixed_difference_matches_the_evaluated_sum():
+    rng = np.random.default_rng(17)
+    for _ in range(80):
+        d = int(rng.integers(1, 11))
+        k = int(rng.integers(1, 3))
+        coeffs = [dict() for _ in range(k)]
+        for _ in range(int(rng.integers(1, 7))):
+            mono = [0] * d
+            for _ in range(int(rng.integers(0, d + 2))):
+                mono[int(rng.integers(0, d))] += 1
+            coeffs[int(rng.integers(0, k))][tuple(mono)] = \
+                Fraction(int(rng.integers(-5, 6)))
+        coeffs = [{m: c for m, c in poly.items() if c} for poly in coeffs]
+        sec = polynomial_section(d, k, coeffs)
+        size = int(rng.integers(1, d + 1))
+        slots = [int(x) for x in rng.choice(d, size=size, replace=False)]
+        base = rng.integers(0, 2, size=d).astype(float)
+        want = multi_mixed_difference(sec, slots, base, 1.0)
+        got = exact_mixed_difference(coeffs, slots, base, 1)
+        assert [float(x) for x in got] == want.tolist()
+    with pytest.raises(ValueError):
+        exact_mixed_difference([{(1, 1): Fraction(1)}], [0, 0], [0, 0], 1)
 
 
 def test_glue_input_validation():
