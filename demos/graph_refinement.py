@@ -3,14 +3,12 @@
 The demonstration pins the classic pair: a six-cycle and two disjoint
 triangles have identical unfolding trees at every depth (every node
 sees an infinite path), while a path and a triangle already differ at
-depth 1.  The double cover construction shows where the unfolding
-trees live.
+depth 1.
 """
 
 from coversheaf.graphs import (compare_graphs, cycle_graph, disjoint_union,
-                               double_cover, partition_ids, path_graph,
-                               unfolding_codes, wl_refine,
-                               wl_equals_unfolding)
+                               partition_ids, path_graph, unfolding_codes,
+                               wl_refine, wl_equals_unfolding)
 
 
 def main() -> None:
@@ -35,10 +33,6 @@ def main() -> None:
           == partition_ids(wl_refine(p4, 3).rounds[3]))
     print("agreement holds for all depths up to 4:",
           all(wl_equals_unfolding(p4, k) for k in range(5)))
-
-    dc = double_cover(cycle_graph(3))
-    print(f"\ndouble cover of C3: {len(dc.arcs)} arcs over "
-          f"{len(dc.base.edges)} edges, loop lifts at {dc.loop_lifts}")
 
 
 if __name__ == "__main__":

@@ -19,15 +19,14 @@ from .sections import (ACTIVATIONS, Activation, Section, affine_section,
                        projection_map, sections_equal, slot_layout,
                        zero_pad_map, zero_section)
 from .cech import (CechComplex, ExactnessReport, build_cech_complex,
-                   cech_cohomology, flasque_check, hom_report_json,
-                   rank_cross_check, restriction_matrix, sheaf_axiom_check)
+                   cech_cohomology, hom_report_json, restriction_matrix,
+                   sheaf_axiom_check)
 from .network import (Deviation, ForwardResult, GeneralLayer,
                       InclusionLayer, MultiHeadAttentionOp, Network,
                       Reducer, build_attention, build_cnn, build_rnn_cover,
                       build_sequential, composed_layer_sections,
-                      factors_check, forward, linear_matrix,
-                      network_from_json, network_to_json,
-                      positional_encoding)
+                      factors_check, forward, network_from_json,
+                      network_to_json, positional_encoding)
 from .witnesses import (AttackSpec, IncompatibleLocalsError,
                         KernelPremiseError, WitnessReport,
                         adversarial_attack, classify_activation,
@@ -37,10 +36,9 @@ from .witnesses import (AttackSpec, IncompatibleLocalsError,
                         locality_witness, multi_mixed_difference,
                         pooled_collision, probe_points,
                         surjectivity_witness)
-from .graphs import (ComparisonResult, DoubleCover, Graph, UnfoldingTree,
-                     WLColoring, compare_graphs, cycle_graph, disjoint_union,
-                     double_cover, load_graph, path_graph, relabel,
-                     tree_canonical, unfolding_codes, unfolding_tree,
-                     wl_equals_unfolding, wl_refine)
+from .graphs import (ComparisonResult, Graph, WLColoring, compare_graphs,
+                     cycle_graph, disjoint_union, load_graph, path_graph,
+                     relabel, unfolding_codes, wl_equals_unfolding,
+                     wl_refine)
 
 __version__ = "0.1.0"

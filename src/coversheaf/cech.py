@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import exact_rank, float_rank
+from ._linalg import exact_rank
 from .topology import Cover, MarkedSpace, OpenSet, make_cover
 from .sections import open_set_dim, slot_layout
 
@@ -261,25 +261,6 @@ def sheaf_axiom_check(cover: Cover, fibers: Sequence[int], k: int) -> ExactnessR
     inclusions.
     """
     return _block_pass(cover, fibers, k, max_degree=0)[2]
-
-
-def flasque_check(fibers: Sequence[int], k: int,
-                  pairs: Sequence[tuple[OpenSet, OpenSet]]) -> list[bool]:
-    """Check surjectivity of restriction for nested pairs (big, small).
-
-    Surjectivity is full row rank of the restriction matrix; the rank
-    is certified exactly.
-    """
-    out = []
-    for big, small in pairs:
-        m = restriction_matrix(big, small, fibers, k)
-        out.append(_rank(m) == m.shape[0])
-    return out
-
-
-def rank_cross_check(matrix, tol: float = 1e-9) -> tuple[int, int]:
-    """Exact and floating ranks of a matrix, for agreement tests."""
-    return exact_rank(matrix), float_rank(matrix, tol=tol)
 
 
 def hom_report_json(cover_index: int, h: list[int], dims: list[int]) -> dict:

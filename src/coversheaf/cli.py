@@ -9,8 +9,8 @@ Every subcommand prints one JSON report envelope to stdout (and to
 Keys are sorted, so two runs with identical arguments produce
 byte-identical output except for the timestamp line.  Report entries
 carrying a "verdict" or "ok" field gate the exit code: 0 when all pass,
-1 when any fails, 2 on malformed input.  Axiom tables and graph
-comparisons are descriptive and never gate.
+1 when any fails, 2 on malformed input, 3 on any other error.  Axiom
+tables and graph comparisons are descriptive and never gate.
 """
 
 from __future__ import annotations
@@ -351,6 +351,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # 1 would read as a refuted claim
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     doc = _envelope(args.command, config, reports)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)

@@ -1,25 +1,22 @@
-"""Graphs, directed double covers, unfolding trees and color refinement.
+"""Graphs, unfolding-tree codes and color refinement.
 
 Node indices are 0-based.  An unfolding tree is the usual computation
 tree of a node: the children of a copy of u are all graph neighbors of
 u, so the depth-t level enumerates the length-t walks from the root.
 
-Two independent routes compute the depth-k unfolding partition:
-
-* materialize the tree and take its canonical code (exponential, used
-  as the oracle on small inputs);
-* intern, per depth, each node's signature (label, sorted child ids)
-  into a small integer id, as in the WL subtree kernel's relabelling,
-  and render one canonical code per distinct id.  This is sound because
-  every copy of u at remaining depth r roots a subtree equal to the
-  depth-r unfolding tree of u, and equal signatures mean isomorphic
-  trees.  All nodes of a class share one ``bytes`` object, so the work
-  grows with the number of classes, not with the number of nodes.
+The depth-k unfolding partition is computed without materializing the
+trees: per depth, each node's signature (label, sorted child ids) is
+interned into a small integer id, as in the WL subtree kernel's
+relabelling, and one canonical code is rendered per distinct id.  This
+is sound because every copy of u at remaining depth r roots a subtree
+equal to the depth-r unfolding tree of u, and equal signatures mean
+isomorphic trees.  All nodes of a class share one ``bytes`` object, so
+the work grows with the number of classes, not with the number of
+nodes.  The tests keep the explicit trees as the oracle on small inputs.
 
 Color refinement keeps a per-round injective signature dictionary, so
 color classes can split but never merge and no hash collision can fake
-an equality.
-"""
+an equality."""
 
 from __future__ import annotations
 
@@ -101,115 +98,18 @@ def path_graph(n: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# directed double cover
-
-
-@dataclass(frozen=True)
-class DoubleCover:
-    """The directed double cover of the self-looped base graph.
-
-    Every base edge lifts to its two directed arcs; the unit self-loop
-    at each node lifts to a single loop, so the projection onto the
-    self-looped base has degree 2 away from the node loops and degree 1
-    (ramification) on them.
-    """
-
-    base: Graph
-    arcs: tuple[tuple[int, int], ...]
-    loop_lifts: tuple[int, ...]
-
-    def project_arc(self, arc: tuple[int, int]) -> tuple[int, int]:
-        u, v = arc
-        if (min(u, v), max(u, v)) not in self.base.edges:
-            raise ValueError(f"{arc} is not an arc of the cover")
-        return (min(u, v), max(u, v))
-
-    def project_loop(self, v: int) -> int:
-        if v not in self.loop_lifts:
-            raise ValueError(f"no loop lift at {v}")
-        return v
-
-    def fiber_size(self, edge: tuple[int, int]) -> int:
-        return sum(1 for a in self.arcs if self.project_arc(a) == tuple(sorted(edge)))
-
-
-def double_cover(g: Graph) -> DoubleCover:
-    arcs = []
-    for u, v in g.edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return DoubleCover(base=g, arcs=tuple(arcs),
-                       loop_lifts=tuple(range(g.n)))
-
-
-# ---------------------------------------------------------------------------
 # unfolding trees
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    node: int
-    label: int
-    children: tuple["TreeNode", ...]
-
-
-@dataclass(frozen=True)
-class UnfoldingTree:
-    root: TreeNode
-    depth: int
-
-    def level_sizes(self) -> list[int]:
-        sizes = []
-        frontier = [self.root]
-        while frontier:
-            sizes.append(len(frontier))
-            frontier = [c for t in frontier for c in t.children]
-        return sizes
-
-    def size(self) -> int:
-        return sum(self.level_sizes())
-
-
-def unfolding_tree(g: Graph, v: int, k: int) -> UnfoldingTree:
-    """The depth-k computation tree of node v (children = all neighbors)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"unknown node {v}")
-    if k < 0:
-        raise ValueError("depth must be nonnegative")
-    adj = g.adjacency()
-
-    def build(u: int, r: int) -> TreeNode:
-        kids = tuple(build(w, r - 1) for w in adj[u]) if r > 0 else ()
-        return TreeNode(node=u, label=g.labels[u], children=kids)
-
-    return UnfoldingTree(root=build(v, k), depth=k)
-
-
-def tree_canonical(tree: UnfoldingTree | TreeNode) -> bytes:
-    """Canonical byte code of a rooted labeled tree.
-
-    Children are encoded in sorted order, so two trees get equal codes
-    exactly when they are isomorphic as rooted labeled trees.
-    """
-    node = tree.root if isinstance(tree, UnfoldingTree) else tree
-
-    def go(t: TreeNode) -> bytes:
-        if not t.children:
-            return b"(" + str(t.label).encode() + b")"
-        kids = sorted(go(c) for c in t.children)
-        return b"(" + str(t.label).encode() + b"|" + b",".join(kids) + b")"
-
-    return go(node)
 
 
 def unfolding_code_levels(g: Graph, k: int) -> list[list[bytes]]:
     """Canonical codes of every node's unfolding tree, for depths 0..k.
 
+    A tree's code is ``(label)`` for a leaf and ``(label|c1,c2,...)``
+    otherwise, with the children's codes sorted, so two trees get equal
+    codes exactly when they are isomorphic as rooted labeled trees.
     Each level interns the signature (label, sorted child ids) of every
-    node into a per-level id and renders one code per id, children
-    sorted by their codes, so the result matches
-    tree_canonical(unfolding_tree(g, v, depth)) byte for byte.  Nodes
-    with equal codes at a level share one ``bytes`` object.
+    node into a per-level id and renders one code per id.  Nodes with
+    equal codes at a level share one ``bytes`` object.
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")

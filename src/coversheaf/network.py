@@ -278,47 +278,6 @@ def factors_check(layer: Layer, n_samples: int = 100, tol: float = 1e-9,
     return FactorsCheckResult(factors=dev <= tol, max_deviation=dev)
 
 
-def linear_matrix(net: Network) -> np.ndarray:
-    """End-to-end matrix of a purely linear network.
-
-    Requires every layer to be an InclusionLayer with identity
-    activation and linear phi (affine with zero bias).  The result is
-    checked elsewhere against the forward loop; here the blocks are
-    assembled by exact matrix composition of the per-layer phi
-    coefficients.
-    """
-    from .sections import polynomial_coefficients
-
-    def section_linear_matrix(s: Section) -> np.ndarray:
-        coeffs = polynomial_coefficients(s)
-        m = np.zeros((s.codomain_dim, s.domain_dim))
-        for out_slot, poly in enumerate(coeffs):
-            for mono, c in poly.items():
-                if sum(mono) == 0 and c != 0:
-                    raise ValueError("phi has a bias term; not linear")
-                if sum(mono) > 1:
-                    raise ValueError("phi is nonlinear")
-                if sum(mono) == 1:
-                    m[out_slot, mono.index(1)] = float(c)
-        return m
-
-    mat: np.ndarray | None = None
-    for layer in net.layers:
-        if not isinstance(layer, InclusionLayer) or layer.activation != "identity":
-            raise ValueError("network is not linear")
-        dims = layer_input_dims(layer)
-        offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        block = np.zeros((layer.out_dim * len(layer.aggregation), int(offsets[-1])))
-        for b, atuple in enumerate(layer.aggregation):
-            for a in atuple:
-                pm = section_linear_matrix(layer.phi[a])
-                block[b * layer.out_dim:(b + 1) * layer.out_dim,
-                      int(offsets[a]):int(offsets[a + 1])] += pm
-        mat = block if mat is None else block @ mat
-    assert mat is not None
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # builders
 

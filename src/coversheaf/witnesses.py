@@ -445,12 +445,11 @@ class KernelPremiseError(ValueError):
         super().__init__(message)
 
 
-def _global_slot_list(members, fibers) -> list[tuple[int, int]]:
-    out = []
-    for p in sorted(members):
-        for off in range(fibers[p - 1]):
-            out.append((p, off))
-    return out
+def _global_monomial(mono, layout: dict[int, range]) -> tuple:
+    """A local exponent vector as its sorted ((point, offset), exponent)
+    pairs, with the local slots placed by ``layout``."""
+    return tuple(((p, j), mono[s]) for p, slots in layout.items()
+                 for j, s in enumerate(slots) if mono[s])
 
 
 def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
@@ -480,7 +479,7 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
         raise ValueError("locals must share a codomain dimension")
     k = ks.pop()
 
-    slot_lists = [_global_slot_list(m, fibers) for m in mems]
+    layouts = [slot_layout(m, fibers) for m in mems]
     polys = [polynomial_coefficients(s) for s in locals_]
 
     # global monomial -> per-element coefficient vectors
@@ -488,8 +487,7 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
     for a in range(n):
         for out_slot, poly in enumerate(polys[a]):
             for mono, c in poly.items():
-                key = tuple(sorted(
-                    (slot_lists[a][i], e) for i, e in enumerate(mono) if e))
+                key = _global_monomial(mono, layouts[a])
                 vecs = table.setdefault(key, {})
                 vec = vecs.setdefault(a, [Fraction(0)] * k)
                 vec[out_slot] += c
@@ -498,11 +496,10 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
 
     def add_pair(a: int, b: int, key: tuple, vec: list[Fraction]) -> None:
         overlap = mems[a] & mems[b]
-        local_slots = {gs: i for i, gs in
-                       enumerate(_global_slot_list(overlap, fibers))}
-        mono = [0] * len(local_slots)
-        for gs, e in key:
-            mono[local_slots[gs]] = e
+        layout = slot_layout(overlap, fibers)
+        mono = [0] * open_set_dim(overlap, fibers)
+        for (p, j), e in key:
+            mono[layout[p][j]] = e
         target = pair_coeffs.setdefault((a, b), [dict() for _ in range(k)])
         for s in range(k):
             if vec[s]:
@@ -545,11 +542,10 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
                 _accumulate(acc[s], key, sign * vec[s])
 
     for (a, b), per_out in pair_coeffs.items():
-        overlap_slots = _global_slot_list(mems[a] & mems[b], fibers)
+        layout = slot_layout(mems[a] & mems[b], fibers)
         for s in range(k):
             for mono, c in per_out[s].items():
-                key = tuple(sorted(
-                    (overlap_slots[i], e) for i, e in enumerate(mono) if e))
+                key = _global_monomial(mono, layout)
                 vec = [Fraction(0)] * k
                 vec[s] = c
                 add_global(recon[a], key, vec, 1)

@@ -148,6 +148,17 @@ def test_out_of_range_attack_arguments_exit_2(capsys, argv):
     assert err.startswith("error: ") and "\n" not in err
 
 
+@pytest.mark.parametrize("bad", [["--delta", "1e300"], ["--p", "1e6"]])
+def test_unexpected_errors_exit_3_not_1(capsys, bad):
+    # the l_p displacement overflows a float: a fault, not a refuted claim
+    code = main(["witness", "thm4.2", "--net", SUMPOOL] + bad)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: OverflowError") and "\n" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["cohomology", "--cover", TWO],
     ["witness", "thm4.2", "--net", SUMPOOL, "--seed", "7"],

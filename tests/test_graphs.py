@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,70 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coversheaf.graphs import (Graph, compare_graphs, cycle_graph,
-                               disjoint_union, double_cover, load_graph,
-                               partition_ids, path_graph, relabel,
-                               tree_canonical, unfolding_code_levels,
-                               unfolding_codes, unfolding_tree,
-                               wl_equals_unfolding, wl_refine)
+                               disjoint_union, load_graph, partition_ids,
+                               path_graph, relabel, unfolding_code_levels,
+                               unfolding_codes, wl_equals_unfolding,
+                               wl_refine)
+
+
+# ---------------------------------------------------------------------------
+# the explicit unfolding trees: the oracle for the interned codes
+
+
+@dataclass(frozen=True)
+class TreeNode:
+    node: int
+    label: int
+    children: tuple["TreeNode", ...]
+
+
+@dataclass(frozen=True)
+class UnfoldingTree:
+    root: TreeNode
+    depth: int
+
+    def level_sizes(self) -> list[int]:
+        sizes = []
+        frontier = [self.root]
+        while frontier:
+            sizes.append(len(frontier))
+            frontier = [c for t in frontier for c in t.children]
+        return sizes
+
+    def size(self) -> int:
+        return sum(self.level_sizes())
+
+
+def unfolding_tree(g: Graph, v: int, k: int) -> UnfoldingTree:
+    """The depth-k computation tree of node v (children = all neighbors)."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"unknown node {v}")
+    if k < 0:
+        raise ValueError("depth must be nonnegative")
+    adj = g.adjacency()
+
+    def build(u: int, r: int) -> TreeNode:
+        kids = tuple(build(w, r - 1) for w in adj[u]) if r > 0 else ()
+        return TreeNode(node=u, label=g.labels[u], children=kids)
+
+    return UnfoldingTree(root=build(v, k), depth=k)
+
+
+def tree_canonical(tree: UnfoldingTree | TreeNode) -> bytes:
+    """Canonical byte code of a rooted labeled tree.
+
+    Children are encoded in sorted order, so two trees get equal codes
+    exactly when they are isomorphic as rooted labeled trees.
+    """
+    node = tree.root if isinstance(tree, UnfoldingTree) else tree
+
+    def go(t: TreeNode) -> bytes:
+        if not t.children:
+            return b"(" + str(t.label).encode() + b")"
+        kids = sorted(go(c) for c in t.children)
+        return b"(" + str(t.label).encode() + b"|" + b",".join(kids) + b")"
+
+    return go(node)
 
 
 def test_graph_validation():
@@ -194,18 +254,6 @@ def test_compare_graphs():
                              "count_second": 0}
     doc = res2.to_json()
     assert doc["distinguishable"] is True
-
-
-def test_double_cover():
-    g = cycle_graph(3)
-    dc = double_cover(g)
-    assert len(dc.arcs) == 2 * len(g.edges)
-    assert dc.loop_lifts == (0, 1, 2)
-    assert dc.project_arc((1, 0)) == (0, 1)
-    assert dc.fiber_size((0, 1)) == 2
-    assert dc.project_loop(2) == 2
-    with pytest.raises(ValueError):
-        dc.project_arc((0, 5))
 
 
 def test_load_graph_formats(tmp_path):

@@ -1,12 +1,21 @@
-"""The sparse exact null space against a dense rational RREF oracle."""
+"""The one exact elimination against the routes it replaced.
+
+``exact_rank`` and ``nullspace_basis`` share one sparse integer
+Gauss-Jordan elimination.  Its oracles are a forward-only integer
+elimination (rank), a sparse Gauss-Jordan over ``Fraction`` rows and a
+dense rational RREF (reduced rows and the canonical kernel basis).
+"""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
-from coversheaf._linalg import nullspace_basis
-from coversheaf.network import build_cnn
+from coversheaf._linalg import (_reduced_rows, _to_rows, exact_rank,
+                                nullspace_basis)
+from coversheaf.cech import _simplex_block
+from coversheaf.network import InclusionLayer, build_cnn
 from coversheaf.witnesses import _incidence
 
 from test_acceptance import _partition_net
@@ -57,6 +66,79 @@ def dense_nullspace_basis(matrix) -> list[list[Fraction]]:
     return basis
 
 
+def forward_integer_rank(matrix) -> int:
+    """Rank by forward-only integer elimination: the sparsest row is the
+    next pivot row, its pivot an entry of least magnitude, and every
+    updated row is divided by the gcd of its entries."""
+    rows = _to_rows(matrix)
+    rank = 0
+    while rows:
+        rows.sort(key=len)
+        pivot = rows.pop(0)
+        pcol, pval = min(pivot.items(), key=lambda kv: (abs(kv[1]), kv[0]))
+        rank += 1
+        updated = []
+        for row in rows:
+            v = row.get(pcol)
+            if v is None:
+                updated.append(row)
+                continue
+            g = gcd(pval, v)
+            merged = {c: val * (pval // g) for c, val in row.items()}
+            for c, val in pivot.items():
+                nv = merged.get(c, 0) - val * (v // g)
+                if nv:
+                    merged[c] = nv
+                else:
+                    merged.pop(c, None)
+            if merged:
+                rg = gcd(*merged.values())
+                updated.append({c: val // rg for c, val in merged.items()})
+        rows = updated
+    return rank
+
+
+def fraction_gauss_jordan(matrix) -> dict[int, dict[int, Fraction]]:
+    """Sparse Gauss-Jordan over the rationals: pivot column -> RREF row."""
+    rref: dict[int, dict[int, Fraction]] = {}
+
+    def subtract(target, factor, row):
+        for c, v in row.items():
+            nv = target.get(c, 0) - factor * v
+            if nv:
+                target[c] = nv
+            else:
+                target.pop(c, None)
+
+    for int_row in _to_rows(matrix):
+        row = {c: Fraction(v) for c, v in int_row.items()}
+        for p in [c for c in row if c in rref]:
+            subtract(row, row[p], rref[p])
+        if not row:
+            continue
+        pcol = min(row)
+        row = {c: v / row[pcol] for c, v in row.items()}
+        for other in rref.values():
+            f = other.get(pcol)
+            if f is not None:
+                subtract(other, f, row)
+        rref[pcol] = row
+    return rref
+
+
+def assert_matches_old_routes(matrix) -> None:
+    """Reduced rows, rank and kernel size against both old eliminations."""
+    reduced = _reduced_rows(matrix)
+    for p, row in reduced.items():
+        assert p == min(row) and row[p] > 0
+        assert all(type(v) is int for v in row.values())
+    assert {p: {c: Fraction(v, row[p]) for c, v in row.items()}
+            for p, row in reduced.items()} == fraction_gauss_jordan(matrix)
+    rank = exact_rank(matrix)
+    assert rank == len(reduced) == forward_integer_rank(matrix)
+    assert rank + len(nullspace_basis(matrix)) == np.shape(matrix)[1]
+
+
 def assert_matches_oracle(matrix) -> None:
     ncols = np.shape(matrix)[1]
     sparse = nullspace_basis(matrix)
@@ -85,6 +167,7 @@ def test_sparse_kernel_matches_dense_oracle_on_random_matrices():
     shapes = set()
     for m in _random_matrices(500):
         assert_matches_oracle(m)
+        assert_matches_old_routes(m)
         shapes.add((m.shape[0] < m.shape[1], m.shape[0] > m.shape[1],
                     m.shape[1] == 0))
     assert shapes >= {(True, False, False), (False, True, False),
@@ -105,6 +188,42 @@ def test_sparse_kernel_matches_dense_oracle_on_attack_incidences():
         assert_matches_oracle(_incidence(net.layers[0]))
 
 
+def test_elimination_matches_old_routes_on_simplex_blocks():
+    # the Cech coboundaries that exact_rank certifies
+    count = 0
+    for m in range(1, 10):
+        for delta in _simplex_block(m, 4).coboundaries:
+            assert_matches_old_routes(delta)
+            count += 1
+    assert count == 45
+
+
+def test_elimination_matches_old_routes_on_attack_incidences():
+    nets = [build_cnn(n) for n in (4, 8, 16, 32)]
+    nets += [_partition_net(s) for s in range(20)]
+    for net in nets:
+        for layer in net.layers:
+            if isinstance(layer, InclusionLayer):
+                assert_matches_old_routes(_incidence(layer))
+
+
+def test_elimination_matches_old_routes_with_dependent_rows():
+    rng = np.random.default_rng(50)
+    for _ in range(300):
+        nrows, ncols = (int(x) for x in rng.integers(1, 9, size=2))
+        basis = rng.integers(-50, 51, size=(int(rng.integers(1, 5)), ncols))
+        mix = rng.integers(-3, 4, size=(nrows, len(basis)))
+        m = np.concatenate([basis, mix @ basis])
+        m = m[rng.permutation(len(m))]
+        if rng.random() < 0.5:  # entries up to 50 outside the span too
+            m[0] = rng.integers(-50, 51, size=ncols)
+        assert_matches_oracle(m)
+        assert_matches_old_routes(m)
+        assert exact_rank(m) <= len(basis) + 1
+
+
 def test_sparse_kernel_rejects_non_matrices():
     with pytest.raises(ValueError):
         nullspace_basis([1, 2, 3])
+    with pytest.raises(ValueError):
+        exact_rank([1, 2, 3])

@@ -14,9 +14,8 @@ from coversheaf.network import (Deviation, GeneralLayer, InclusionLayer,
                                 Network, Reducer, build_attention, build_cnn,
                                 build_rnn_cover, build_sequential,
                                 composed_layer_sections,
-                                factors_check, forward, linear_matrix,
-                                network_from_json, network_to_json,
-                                positional_encoding)
+                                factors_check, forward, network_from_json,
+                                network_to_json, positional_encoding)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -109,15 +108,6 @@ def test_composed_sections_match_apply():
     secs = composed_layer_sections(net.layers[0])
     vals = evaluate(secs[0], np.array([1.0, 2.0, 3.0, 4.0]))
     assert vals.tolist() == [3.0]
-
-
-def test_linear_matrix():
-    net = sumpool_net()
-    m = linear_matrix(net)
-    assert m.tolist() == [[1.0, 1.0, 1.0, 1.0]]
-    biased = build_sequential(3, "rnn", seed=0)
-    with pytest.raises(ValueError):
-        linear_matrix(biased)
 
 
 def test_reducer_modes():
