@@ -77,14 +77,31 @@ class InclusionLayer:
             if s.codomain_dim != self.out_dim:
                 raise ValueError("phi codomain must equal the layer out_dim")
 
-    def apply(self, values: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def apply(self, values: Sequence[np.ndarray],
+              pre: list | None = None) -> list[np.ndarray]:
+        """Output values of every output element.
+
+        With a list ``pre`` (one None per input element), also keep
+        each input's phi_alpha(v_alpha) in it, summing the kept value;
+        an input no output aggregates is evaluated at the end.
+        """
         fn = ACTIVATIONS[self.activation].fn
         out = []
         for atuple in self.aggregation:
             acc = np.zeros(self.out_dim)
             for a in atuple:
-                acc = acc + evaluate(self.phi[a], values[a])
+                if pre is None:
+                    term = evaluate(self.phi[a], values[a])
+                elif pre[a] is None:
+                    term = pre[a] = evaluate(self.phi[a], values[a])
+                else:
+                    term = pre[a]
+                acc = acc + term
             out.append(fn(acc))
+        if pre is not None:
+            for a, v in enumerate(pre):
+                if v is None:
+                    pre[a] = evaluate(self.phi[a], values[a])
         return out
 
 
@@ -186,15 +203,25 @@ class Network:
 class ForwardResult(NamedTuple):
     output: np.ndarray
     stages: tuple[tuple[np.ndarray, ...], ...]
+    # per layer: each input's phi_alpha(v_alpha) for an InclusionLayer,
+    # None for a GeneralLayer; None for the whole run unless traced
+    pre: tuple[tuple[np.ndarray, ...] | None, ...] | None = None
 
 
-def forward(net: Network, x, deviation: Deviation | None = None) -> ForwardResult:
+def forward(net: Network, x, deviation: Deviation | None = None,
+            trace: bool = False) -> ForwardResult:
     """Evaluate the network, returning the output and every stage's
     per-element values.
 
     ``x`` concatenates the fiber vectors of the marked points in point
-    order.  Stage 0 values are x_i + nu_i(x_i).  A batch of inputs may
-    be passed as shape (batch, input_dim); attention runs row by row.
+    order.  Stage 0 values are x_i + nu_i(x_i); without a deviation
+    they are slices of ``x`` and alias it (no copy is made when ``x``
+    is already a float array).  A batch of inputs may be passed as
+    shape (batch, input_dim); attention runs row by row.
+
+    With ``trace``, ``pre[i]`` holds layer i's pre-aggregation values
+    phi_alpha(v_alpha), one per input element, as the layer summed
+    them (None for a GeneralLayer).  An untraced run keeps none.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != net.input_dim or x.ndim not in (1, 2):
@@ -202,17 +229,25 @@ def forward(net: Network, x, deviation: Deviation | None = None) -> ForwardResul
     layout = slot_layout(frozenset(net.space.points), net.space.fiber_dims)
     values: list[np.ndarray] = []
     for p in net.space.points:
-        xi = x[..., list(layout[p])]
+        r = layout[p]
+        xi = x[..., r.start:r.stop]
         if deviation is not None:
             xi = xi + evaluate(deviation.nus[p - 1], xi)
         values.append(xi)
     stages = [tuple(values)]
+    pre: list[tuple[np.ndarray, ...] | None] = []
     for layer in net.layers:
-        values = layer.apply(values)
+        if trace and isinstance(layer, InclusionLayer):
+            kept: list = [None] * len(layer.phi)
+            values = layer.apply(values, kept)
+            pre.append(tuple(kept))
+        else:
+            values = layer.apply(values)
+            pre.append(None)
         stages.append(tuple(values))
     return ForwardResult(
         output=values[0] if len(values) == 1 else np.concatenate(values, axis=-1),
-        stages=tuple(stages))
+        stages=tuple(stages), pre=tuple(pre) if trace else None)
 
 
 class FactorsCheckResult(NamedTuple):

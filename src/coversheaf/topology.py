@@ -205,24 +205,49 @@ def _union(sets: Iterable[frozenset[int]]) -> frozenset[int]:
     return out
 
 
-def has_proper_union(target: frozenset[int],
-                      prev: Sequence[frozenset[int]]) -> bool:
-    """Is ``target`` the union of a proper subfamily of ``prev``?
+def proper_unions(targets: Sequence[frozenset[int]],
+                  prev: Sequence[frozenset[int]]) -> list[bool]:
+    """Is each target the union of a proper subfamily of ``prev``?
 
-    The candidate family is the maximal one (every previous element
-    contained in the target); a proper subfamily with the same union
+    The candidate family of a target is the maximal one (every previous
+    element contained in it); a proper subfamily with the same union
     exists iff the candidates reproduce the target and either do not
-    exhaust ``prev`` or contain a redundant member.
+    exhaust ``prev`` or contain a redundant member, one whose points
+    all lie in another candidate.  One point -> element index serves
+    every target.  An empty element is a candidate of every target and
+    always redundant.
     """
-    cands = [i for i, s in enumerate(prev) if s <= target]
-    if _union(prev[i] for i in cands) != target:
-        return False
-    if len(cands) < len(prev):
-        return True
-    for drop in cands:
-        if _union(prev[i] for i in cands if i != drop) == target:
-            return True
-    return False
+    by_point: dict[int, list[int]] = {}
+    for i, s in enumerate(prev):
+        for q in s:
+            by_point.setdefault(q, []).append(i)
+    empty = [i for i, s in enumerate(prev) if not s]
+    out = []
+    for target in targets:
+        hits: dict[int, int] = {}
+        for q in target:
+            for i in by_point.get(q, ()):
+                hits[i] = hits.get(i, 0) + 1
+        cands = [i for i, h in hits.items() if h == len(prev[i])]
+        # cover[q]: the candidates containing point q of the target
+        cover = dict.fromkeys(target, 0)
+        for i in cands:
+            for q in prev[i]:
+                cover[q] += 1
+        if not all(cover.values()):
+            out.append(False)
+        elif len(cands) + len(empty) < len(prev) or empty:
+            out.append(True)
+        else:
+            out.append(any(all(cover[q] > 1 for q in prev[i])
+                           for i in cands))
+    return out
+
+
+def has_proper_union(target: frozenset[int],
+                     prev: Sequence[frozenset[int]]) -> bool:
+    """Is ``target`` the union of a proper subfamily of ``prev``?"""
+    return proper_unions([target], prev)[0]
 
 
 def check_na_axioms(seq: CoverSequence) -> AxiomReport:
@@ -253,11 +278,8 @@ def check_na_axioms(seq: CoverSequence) -> AxiomReport:
 
         strictness = len(prev) > len(cur)
 
-        nt_fail = None
-        for i, m in enumerate(cur):
-            if not has_proper_union(m, prev):
-                nt_fail = i
-                break
+        proper = proper_unions(cur, prev)
+        nt_fail = proper.index(False) if False in proper else None
         non_triviality = nt_fail is None
 
         dup = None

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import nullspace_basis
-from .topology import Cover, OpenSet, has_proper_union
+from .topology import Cover, OpenSet, proper_unions
 from .sections import (Affine, Const, CoordMap, Section, Sum, _accumulate,
                        affine_section, compose_coord, evaluate, open_set_dim,
                        polynomial_coefficients, polynomial_section,
@@ -701,6 +701,25 @@ def indistinguishability_report(cover: Cover, fibers: Sequence[int], k: int,
 # aggregation-kernel perturbations
 
 
+def _p_norm(values: Sequence[float], p: float) -> float:
+    """(sum of |v|^p)^(1/p), summed in order.  Where the plain sum
+    overflows it is max * (sum of (|v|/max)^p)^(1/p)."""
+    try:
+        total = 0.0
+        for v in values:
+            total += abs(v) ** p
+        if math.isfinite(total):
+            return total ** (1.0 / p)
+    except OverflowError:
+        pass
+    top = max(abs(v) for v in values)
+    return top * sum((abs(v) / top) ** p for v in values) ** (1.0 / p)
+
+
+# how far the measured displacement may stray from the stated one
+_DISPLACEMENT_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     """A per-input perturbation family for one aggregation layer.
@@ -718,11 +737,8 @@ class AttackSpec:
     perturbations: tuple[tuple[Fraction, ...], ...]
 
     def displacement(self) -> float:
-        total = 0.0
-        for vec in self.perturbations:
-            for v in vec:
-                total += abs(float(v)) ** self.p
-        return total ** (1.0 / self.p)
+        return _p_norm([float(v) for vec in self.perturbations for v in vec],
+                       self.p)
 
     def zero_sum_exact(self, aggregation: Sequence[Sequence[int]]) -> bool:
         width = len(self.perturbations[0]) if self.perturbations else 0
@@ -751,7 +767,7 @@ def _incidence(layer: InclusionLayer) -> np.ndarray:
 
 
 def _offset_layer(layer: InclusionLayer,
-                  offsets: Sequence[np.ndarray]) -> InclusionLayer:
+                  offsets: Sequence[Sequence[float]]) -> InclusionLayer:
     phis = []
     for s, off in zip(layer.phi, offsets):
         phis.append(Section(domain_dim=s.domain_dim, codomain_dim=s.codomain_dim,
@@ -776,12 +792,17 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     two until its p-displacement exceeds delta.
 
     Verification runs one seeded batch of ``n_inputs`` random inputs
-    through the clean and the perturbed network: final outputs must
-    agree within tol while the pre-aggregation representations move by
-    exactly the stated displacement (within 1e-9).
+    through the clean and the perturbed network, both traced: final
+    outputs must agree within tol while the pre-aggregation values the
+    two networks computed move by exactly the stated displacement
+    (within 1e-9).  Where sum |v|^p overflows a float, both
+    displacements are max * (sum (|v|/max)^p)^(1/p).
 
     Raises ValueError for a layer index out of range, p below 1 or not
-    finite, delta not finite or not positive, and n_inputs below 1.
+    finite, delta not finite or not positive, n_inputs below 1, and a
+    delta whose offsets are too large for floats to verify: a check
+    that fails while adjacent floats at the largest offset lie more
+    than 1e-9 apart.
     """
     if not 0 <= layer_index < len(net.layers):
         raise ValueError(f"layer index {layer_index} is out of range for a "
@@ -799,9 +820,8 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     out_mems = layer.output_cover.memberships()
     if not len(in_mems) > len(out_mems):
         raise ValueError("attack needs a strictly shrinking stage pair")
-    for m in out_mems:
-        if not has_proper_union(m, in_mems):
-            raise ValueError("attack needs proper-union output elements")
+    if not all(proper_unions(out_mems, in_mems)):
+        raise ValueError("attack needs proper-union output elements")
 
     inc = _incidence(layer)
     basis = nullspace_basis(inc)
@@ -812,49 +832,75 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
             measured={"failure": "incidence null space is zero; "
                                  "claimed freedom is absent"})
 
+    # The perturbation is num * scale / den: integer numerators over the
+    # basis's common denominator, and a power-of-two scale.
     k1 = layer.out_dim
     rng = np.random.default_rng(seed)
     n_in = len(in_mems)
-    m_frac = [[Fraction(0)] * k1 for _ in range(n_in)]
+    den = math.lcm(*(v.denominator for vec in basis for v in vec.values()))
+    num = [[0] * k1 for _ in range(n_in)]
     for vec in basis:
-        weights = rng.integers(-3, 4, size=k1)
+        weights = [int(w) for w in rng.integers(-3, 4, size=k1)]
         for a, v in vec.items():
+            c = v.numerator * (den // v.denominator)
+            row = num[a]
             for s in range(k1):
-                m_frac[a][s] += int(weights[s]) * v
-    if not any(any(v) for v in m_frac):
+                row[s] += weights[s] * c
+    if not any(any(row) for row in num):
         for a, v in basis[0].items():
-            m_frac[a][0] += v
+            num[a][0] += v.numerator * (den // v.denominator)
 
+    # an int true division rounds like float(Fraction(n * scale, den))
+    scale = 1
+    try:
+        while True:
+            offsets = [[n * scale / den for n in row] for row in num]
+            formula = _p_norm([v for row in offsets for v in row], p)
+            if formula > delta:
+                break
+            scale *= 2
+    except OverflowError:
+        raise ValueError(f"delta {delta} is too large: the offsets that "
+                         "exceed it overflow a float") from None
     spec = AttackSpec(layer_index, p, delta,
-                      tuple(tuple(v) for v in m_frac))
-    while spec.displacement() <= delta:
-        m_frac = [[2 * v for v in vec] for vec in m_frac]
-        spec = AttackSpec(layer_index, p, delta,
-                          tuple(tuple(v) for v in m_frac))
+                      tuple(tuple(Fraction(n * scale, den) for n in row)
+                            for row in num))
+    zero_sum = all(sum(num[a][s] for a in atuple) == 0
+                   for atuple in layer.aggregation for s in range(k1))
 
-    zero_sum = spec.zero_sum_exact(layer.aggregation)
-
-    offsets = [np.array([float(v) for v in vec]) for vec in m_frac]
     perturbed_layers = list(net.layers)
     perturbed_layers[layer_index] = _offset_layer(layer, offsets)
     pert_net = Network(space=net.space, sequence=net.sequence,
                        layers=tuple(perturbed_layers))
 
-    formula = spec.displacement()
     xs = rng.standard_normal((n_inputs, net.input_dim))
-    clean: ForwardResult = forward(net, xs)
-    pert: ForwardResult = forward(pert_net, xs)
+    clean: ForwardResult = forward(net, xs, trace=True)
+    pert: ForwardResult = forward(pert_net, xs, trace=True)
     out_gap = float(np.max(np.abs(clean.output - pert.output)))
-    vals = clean.stages[layer_index]
-    moved = np.zeros(n_inputs)
-    for a in range(n_in):
-        base = evaluate(layer.phi[a], vals[a])
-        bumped = base + offsets[a]
-        moved += np.sum(np.abs(bumped - base) ** p, axis=1)
-    disp_gap = float(np.max(np.abs(moved ** (1.0 / p) - formula)))
+    # each input's move, as the perturbed network itself computed it
+    moves = [np.abs(after - before) for after, before in
+             zip(pert.pre[layer_index], clean.pre[layer_index])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.zeros(n_inputs)
+        for d in moves:
+            total += np.sum(d ** p, axis=1)
+        measured = total ** (1.0 / p)
+        if not np.all(np.isfinite(measured)):
+            top = np.max([np.max(d, axis=1) for d in moves], axis=0)
+            top[top == 0] = 1.0
+            total = np.zeros(n_inputs)
+            for d in moves:
+                total += np.sum((d / top[:, None]) ** p, axis=1)
+            measured = top * total ** (1.0 / p)
+        disp_gap = float(np.max(np.abs(measured - formula)))
 
     verdict = (zero_sum and formula > delta and out_gap <= tol
-               and disp_gap <= 1e-9)
+               and disp_gap <= _DISPLACEMENT_TOL)
+    largest = max(abs(v) for row in offsets for v in row)
+    if not verdict and zero_sum and math.ulp(largest) > _DISPLACEMENT_TOL:
+        raise ValueError(
+            f"delta {delta} is too large to verify in floats: offsets reach "
+            f"{largest:g}, where floats are {math.ulp(largest):g} apart")
     report = WitnessReport(
         claim="thm4.2", verdict=verdict, seed=seed,
         inputs={"layer_index": layer_index, "p": p, "delta": delta,

@@ -148,10 +148,38 @@ def test_out_of_range_attack_arguments_exit_2(capsys, argv):
     assert err.startswith("error: ") and "\n" not in err
 
 
-@pytest.mark.parametrize("bad", [["--delta", "1e300"], ["--p", "1e6"]])
-def test_unexpected_errors_exit_3_not_1(capsys, bad):
-    # the l_p displacement overflows a float: a fault, not a refuted claim
+def test_large_p_gets_a_verdict(capsys):
+    # sum |v|^p overflows a float; the displacement is then taken as
+    # max * (sum (|v|/max)^p)^(1/p) on the stated and the measured side
+    code, doc = run(capsys, "witness", "thm4.2", "--net", SUMPOOL,
+                    "--p", "1e6")
+    assert code == 0
+    measured = doc["reports"][0]["measured"]
+    assert 2.0 < measured["displacement"] < 2.0 * (1 + 1e-5)
+    assert measured["max_displacement_gap"] <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [["--delta", "1e300"],
+                                 ["--delta", "1e300", "--p", "1e6"],
+                                 ["--delta", "1.5e308", "--p", "1"],
+                                 ["--delta", "1e7"]])
+def test_too_large_delta_exits_2_naming_delta(capsys, bad):
+    # float offsets that swamp phi cannot verify the claim, which is a
+    # bad request, not a refuted claim
     code = main(["witness", "thm4.2", "--net", SUMPOOL] + bad)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: delta ") and "\n" not in err
+
+
+def test_unexpected_errors_exit_3_not_1(capsys, monkeypatch):
+    # a fault inside a witness is not a refuted claim
+    def fail(*args, **kwargs):
+        raise OverflowError("boom")
+    monkeypatch.setattr("coversheaf.cli.adversarial_attack", fail)
+    code = main(["witness", "thm4.2", "--net", SUMPOOL])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

@@ -249,3 +249,65 @@ def test_network_stage_cover_validation():
     Network(space=sp, sequence=seq, layers=(layer,))
     with pytest.raises(ValueError):
         Network(space=sp, sequence=seq, layers=(layer, layer))
+
+
+def _odd_aggregation_net() -> Network:
+    """Sum pool whose first output aggregates input 1 twice over (via
+    an overlapping second output) and whose head skips input 1."""
+    doc = json.loads((FIXTURES / "sumpool.json").read_text())
+    doc["stages"][1] = [[1, 2], [2, 3, 4]]
+    doc["layers"][0]["aggregation"] = [[0, 1], [1, 2, 3]]
+    doc["layers"][1]["aggregation"] = [[0]]
+    return network_from_json(doc)
+
+
+@pytest.mark.parametrize("make", [
+    sumpool_net, _odd_aggregation_net, lambda: build_cnn(4, seed=2),
+    lambda: build_sequential(4, "rnn", seed=1),
+    lambda: build_attention(3, 4, heads=2, head_dim=2, seed=3),
+    lambda: build_cnn(4, plan=[{"kind": "pool", "mode": "max", "block": 2},
+                               {"kind": "fc", "out_dim": 2,
+                                "activation": "tanh"}]),
+])
+def test_traced_pre_values_are_each_inputs_phi(make):
+    net = make()
+    xs = np.random.default_rng(8).standard_normal((5, net.input_dim))
+    plain = forward(net, xs)
+    traced = forward(net, xs, trace=True)
+    assert plain.pre is None
+    assert np.array_equal(traced.output, plain.output)
+    assert len(traced.pre) == len(net.layers)
+    for i, layer in enumerate(net.layers):
+        if not isinstance(layer, InclusionLayer):
+            assert traced.pre[i] is None
+            continue
+        assert len(traced.pre[i]) == len(layer.phi)
+        for a, phi in enumerate(layer.phi):
+            want = evaluate(phi, traced.stages[i][a])
+            assert np.array_equal(traced.pre[i][a], want)
+
+
+def test_stage_zero_values_alias_the_input():
+    net = build_cnn(4, seed=1)
+    for x in (np.arange(net.input_dim, dtype=float),
+              np.ones((3, net.input_dim))):
+        stage0 = forward(net, x).stages[0]
+        assert all(np.shares_memory(v, x) for v in stage0)
+    # a deviation makes new stage-0 values
+    dev = Deviation.zero(net.space)
+    x = np.ones(net.input_dim)
+    assert not any(np.shares_memory(v, x)
+                   for v in forward(net, x, deviation=dev).stages[0])
+
+
+def test_forward_allocates_well_below_one_copy_of_the_probe():
+    import tracemalloc
+    net = build_cnn(16)
+    probe = np.random.default_rng(0).uniform(-3, 3, (10_000, net.input_dim))
+    tracemalloc.start()
+    try:
+        forward(net, probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * probe.nbytes, (peak, probe.nbytes)

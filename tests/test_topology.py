@@ -2,13 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from coversheaf.topology import (CoverSequence, MarkedSpace, OpenSet,
                                  check_na_axioms, global_stage,
                                  has_proper_union, load_space_document,
-                                 make_cover, singleton_stage)
-from coversheaf.network import build_cnn, build_rnn_cover
+                                 make_cover, proper_unions, singleton_stage)
+from coversheaf.network import build_cnn, build_rnn_cover, build_sequential
+from test_acceptance import sweep_covers
 
 
 def space(n, fibers=None):
@@ -76,6 +78,79 @@ def test_has_proper_union():
     # an exact partition admits no proper covering subfamily
     assert not has_proper_union(f({1, 2, 3}), [f({1, 2}), f({3})])
     assert not has_proper_union(f({1, 2}), [f({1}), f({3})])
+
+
+def scan_proper_union(target, prev) -> bool:
+    """The per-target scan that ``proper_unions`` replaced (oracle)."""
+    def union(sets):
+        out = frozenset()
+        for s in sets:
+            out = out | s
+        return out
+    cands = [i for i, s in enumerate(prev) if s <= target]
+    if union(prev[i] for i in cands) != target:
+        return False
+    if len(cands) < len(prev):
+        return True
+    return any(union(prev[i] for i in cands if i != drop) == target
+               for drop in cands)
+
+
+def test_proper_unions_match_the_per_target_scan():
+    rng = np.random.default_rng(2024)
+    checked = empties = duplicates = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 7))
+
+        def family(size):
+            out = [frozenset(int(p) for p in range(1, n + 1)
+                             if rng.random() < rng.uniform(0.2, 0.8))
+                   for _ in range(size)]
+            # repeat some members, empty ones included
+            return out + [out[int(rng.integers(len(out)))]
+                          for _ in range(int(rng.integers(0, 3)))]
+        prev = family(int(rng.integers(1, 6)))
+        targets = family(int(rng.integers(1, 5)))
+        # unions of prev members, so that many targets are reachable
+        targets += [prev[0] | prev[-1], frozenset().union(*prev)]
+        want = [scan_proper_union(t, prev) for t in targets]
+        assert proper_unions(targets, prev) == want, (targets, prev)
+        checked += len(targets)
+        empties += not all(prev)
+        duplicates += len(set(prev)) < len(prev)
+    assert checked > 1000 and empties > 20 and duplicates > 100
+    f = frozenset
+    # an empty element is contained in every target and always redundant
+    assert proper_unions([f({1, 2}), f()], [f({1}), f({2}), f()]) == [True,
+                                                                      True]
+    assert proper_unions([f()], [f({1})]) == [True]
+    assert proper_unions([f({1})], [f({1})]) == [False]
+
+
+def _oracle_non_triviality(seq):
+    out = []
+    for n in range(1, len(seq.stages)):
+        prev = seq.stages[n - 1].memberships()
+        fail = [i for i, m in enumerate(seq.stages[n].memberships())
+                if not scan_proper_union(m, prev)]
+        out.append(fail[0] if fail else None)
+    return out
+
+
+def test_axiom_reports_match_the_per_target_scan():
+    seqs = [build_cnn(4).sequence, build_sequential(4, "rnn").sequence,
+            build_rnn_cover(5, "lstm", window=3)]
+    for cover, _ in sweep_covers():
+        sp = cover.space
+        seqs.append(CoverSequence(space=sp, stages=(
+            singleton_stage(sp), cover, global_stage(sp))))
+    for seq in seqs:
+        rep = check_na_axioms(seq)
+        want = _oracle_non_triviality(seq)
+        assert [s.non_triviality_failure for s in rep.stages] == want
+        assert [s.non_triviality for s in rep.stages] == \
+            [w is None for w in want]
+    assert len(seqs) == 3 + 89
 
 
 def test_cnn_stage_axiom_table():

@@ -6,13 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coversheaf.topology import MarkedSpace, OpenSet, make_cover
+from coversheaf._linalg import nullspace_basis
+from coversheaf.topology import (CoverSequence, MarkedSpace, OpenSet,
+                                 global_stage, make_cover, singleton_stage)
 from coversheaf.sections import (affine_section, compose_coord, evaluate,
                                  polynomial_coefficients, polynomial_section,
                                  product_counterexample, slot_layout,
                                  zero_pad_map)
-from coversheaf.network import (build_attention, build_cnn, build_sequential,
-                                forward, network_from_json)
+from coversheaf.network import (InclusionLayer, Network, build_attention,
+                                build_cnn, build_sequential, forward,
+                                network_from_json)
 from coversheaf.witnesses import (AttackSpec, IncompatibleLocalsError,
                                   KernelPremiseError, WitnessReport,
                                   adversarial_attack, classify_activation,
@@ -23,7 +26,7 @@ from coversheaf.witnesses import (AttackSpec, IncompatibleLocalsError,
                                   locality_witness, multi_mixed_difference,
                                   pooled_collision, probe_points,
                                   surjectivity_witness)
-from test_acceptance import sweep_covers
+from test_acceptance import _partition_net, sweep_covers
 
 TRIANGLE = [[1, 2], [2, 3], [1, 3]]
 
@@ -365,10 +368,9 @@ def _shared_dag_section(weight: float, sums: int) -> dict:
             "nodes": nodes}
 
 
-def test_attack_on_a_60_node_shared_dag_network():
-    sums = 58
+def _shared_dag_net(sums: int = 58):
     weights = [1.0, -0.5, 2.0, 0.25]
-    doc = {
+    return network_from_json({
         "schema": 1,
         "space": {"n_points": 4, "fiber_dims": [1] * 4,
                   "structure": {"kind": "abstract"}},
@@ -382,9 +384,12 @@ def test_attack_on_a_60_node_shared_dag_network():
              "activation": "identity",
              "phi": [{"matrix": [[1.0]]}, {"matrix": [[3.0]]}]},
         ],
-    }
-    net = network_from_json(doc)
-    assert len(doc["layers"][0]["phi"][0]["nodes"]) == 60
+    })
+
+
+def test_attack_on_a_60_node_shared_dag_network():
+    net = _shared_dag_net()
+    assert len(net.layers[0].phi[0].nodes) == 60
     x = np.array([1.0, 2.0, 3.0, 4.0])
     want = (1.0 * 1 - 0.5 * 2) + 3 * (2.0 * 3 + 0.25 * 4)
     assert forward(net, x).output == pytest.approx([want])
@@ -392,6 +397,106 @@ def test_attack_on_a_60_node_shared_dag_network():
     assert rep.verdict
     assert rep.measured["null_space_dim"] == 2
     assert spec.displacement() > 4.0
+
+
+def _overlap_net():
+    """Four points under three overlapping triples: the incidence
+    kernel is spanned by (-1/2, -1/2, -1/2, 1), which is not integral."""
+    sp = MarkedSpace(n_points=4, fiber_dims=(1, 2, 1, 1))
+    ins = singleton_stage(sp)
+    mid = make_cover(sp, [[1, 2, 4], [2, 3, 4], [1, 3, 4]])
+    top = global_stage(sp)
+    rng = np.random.default_rng(11)
+    layer = InclusionLayer(
+        input_cover=ins, output_cover=mid,
+        aggregation=((0, 1, 3), (1, 2, 3), (0, 2, 3)),
+        phi=tuple(affine_section(rng.standard_normal((2, d)))
+                  for d in sp.fiber_dims),
+        activation="tanh", out_dim=2)
+    head = InclusionLayer(
+        input_cover=mid, output_cover=top, aggregation=((0, 1, 2),),
+        phi=tuple(affine_section(rng.standard_normal((1, 2)))
+                  for _ in range(3)),
+        activation="identity", out_dim=1)
+    return Network(space=sp, sequence=CoverSequence(
+        space=sp, stages=(ins, mid, top)), layers=(layer, head))
+
+
+def _old_displacement(perturbations, p: float) -> float:
+    """The float sum of the Fraction route, with the overflow rule
+    max * (sum (|v|/max)^p)^(1/p) where the plain sum overflows."""
+    vals = [abs(float(v)) for vec in perturbations for v in vec]
+    try:
+        total = 0.0
+        for v in vals:
+            total += v ** p
+        if total != float("inf"):
+            return total ** (1.0 / p)
+    except OverflowError:
+        pass
+    top = max(vals)
+    return top * sum((v / top) ** p for v in vals) ** (1.0 / p)
+
+
+def _old_zero_sum(perturbations, aggregation) -> bool:
+    width = len(perturbations[0])
+    return all(sum((perturbations[a][s] for a in atuple), Fraction(0)) == 0
+               for atuple in aggregation for s in range(width))
+
+
+def _fraction_attack(layer, p: float, delta: float, seed: int):
+    """The Fraction bookkeeping that the integer one replaced (oracle):
+    accumulate Fractions, rerun the displacement at every doubling."""
+    inc = np.zeros((len(layer.aggregation), len(layer.phi)), dtype=np.int64)
+    for b, atuple in enumerate(layer.aggregation):
+        inc[b, list(atuple)] = 1
+    basis = nullspace_basis(inc)
+    k1 = layer.out_dim
+    rng = np.random.default_rng(seed)
+    m_frac = [[Fraction(0)] * k1 for _ in layer.phi]
+    for vec in basis:
+        weights = rng.integers(-3, 4, size=k1)
+        for a, v in vec.items():
+            for s in range(k1):
+                m_frac[a][s] += int(weights[s]) * v
+    if not any(any(v) for v in m_frac):
+        for a, v in basis[0].items():
+            m_frac[a][0] += v
+    while _old_displacement(m_frac, p) <= delta:
+        m_frac = [[2 * v for v in vec] for vec in m_frac]
+    return tuple(tuple(v) for v in m_frac), basis
+
+
+ATTACKED = ([(f"cnn{n}", lambda n=n: build_cnn(n), 0) for n in (4, 8, 16)]
+            + [("rnn-head", lambda: build_sequential(4, "rnn", seed=0), 1),
+               ("shared-dag", _shared_dag_net, 0),
+               ("overlap", _overlap_net, 0)]
+            + [(f"partition{s}", lambda s=s: _partition_net(s), 0)
+               for s in range(20)])
+
+
+@pytest.mark.parametrize("name,make,layer_index", ATTACKED,
+                         ids=[a[0] for a in ATTACKED])
+def test_integer_bookkeeping_matches_the_fraction_route(name, make,
+                                                        layer_index):
+    net = make()
+    layer = net.layers[layer_index]
+    for p, seeds in ((1.0, (0, 3)), (2.0, (0, 7, 12)), (3.5, (1,)),
+                     (300.0, (0, 5))):
+        for seed in seeds:
+            delta = (1.0, 10.0, 1000.0)[seed % 3]
+            spec, rep = adversarial_attack(net, layer_index, p=p,
+                                           delta=delta, seed=seed)
+            want, basis = _fraction_attack(layer, p, delta, seed)
+            assert spec.perturbations == want
+            assert rep.measured["displacement"] == _old_displacement(want, p)
+            assert spec.displacement() == rep.measured["displacement"]
+            assert rep.measured["zero_sum_exact"] is _old_zero_sum(
+                want, layer.aggregation) is True
+            assert rep.verdict, rep.to_json()
+            if name == "overlap":
+                assert any(v.denominator > 1 for vec in basis
+                           for v in vec.values())
 
 
 def test_attack_on_the_token_layer_of_an_attention_network():
