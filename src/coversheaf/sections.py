@@ -7,6 +7,11 @@ coordinates, constants, affine maps, pointwise activations, products,
 sums and maxima.  Equality of sections is extensional: seeded sampling
 with a fixed tolerance.
 
+Every node lists its inputs in ``children``.  One walk in ``Section``
+orders, checks and sizes the DAG; one fold (``_fold``) runs evaluation,
+exact coefficients and coordinate rewrites over it as per-kind rules;
+JSON maps each node's dataclass fields through one kind <-> class table.
+
 Coordinate maps between open sets come in exactly two kinds:
 
 * projection (V -> U for U inside V): drop the coordinates of points
@@ -27,11 +32,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .topology import OpenSet
+from .topology import OpenSet, _json_int
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +68,9 @@ def open_set_dim(members: frozenset[int] | Iterable[int],
 class Node:
     """Base class for expression nodes.  Instances are immutable.
 
-    Nodes compare and hash by identity, and repr names the children by
-    type only, so neither walks into the DAG below a node.
+    ``children`` holds a node's inputs, () for a leaf.  Nodes compare and
+    hash by identity, and repr names the children by type only, so
+    neither walks into the DAG below a node.
     """
 
     __slots__ = ()
@@ -78,11 +85,21 @@ class Node:
         return f"{type(self).__name__}({args})"
 
 
+def _rebuilt(node: Node, children: tuple[Node, ...]) -> Node:
+    """A copy of ``node`` reading ``children``; its own fields are shared."""
+    new = object.__new__(type(node))
+    new.__dict__.update(node.__dict__, children=children)
+    if "child" in new.__dict__:
+        new.__dict__["child"] = children[0]
+    return new
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Coords(Node):
     """Select input coordinates; width = number of indices."""
 
     indices: tuple[int, ...]
+    children = ()
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
@@ -91,6 +108,7 @@ class Coords(Node):
 @dataclass(frozen=True, eq=False, repr=False)
 class Const(Node):
     values: tuple[float, ...]
+    children = ()
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -108,6 +126,7 @@ class Affine(Node):
         m = tuple(tuple(float(v) for v in row) for row in self.matrix)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "bias", tuple(float(v) for v in self.bias))
+        object.__setattr__(self, "children", (self.child,))
         if len(self.bias) != len(m):
             raise ValueError("bias length must match matrix rows")
         if m and len({len(r) for r in m}) != 1:
@@ -120,42 +139,40 @@ class Activation(Node):
     child: Node
 
     def __post_init__(self):
+        object.__setattr__(self, "children", (self.child,))
         if self.name not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.name!r}")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Product(Node):
+class _NAry(Node):
+    """``_ufunc`` applied coordinatewise across equal-width children."""
+
+    children: tuple[Node, ...]
+
+    def __post_init__(self):
+        if not self.children:
+            raise ValueError(f"{type(self).__name__.lower()} needs at least one child")
+        object.__setattr__(self, "children", tuple(self.children))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Product(_NAry):
     """Coordinatewise product of equal-width children."""
 
-    children: tuple[Node, ...]
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValueError("product needs at least one child")
-        object.__setattr__(self, "children", tuple(self.children))
+    _ufunc = np.multiply
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Sum(Node):
-    children: tuple[Node, ...]
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValueError("sum needs at least one child")
-        object.__setattr__(self, "children", tuple(self.children))
+class Sum(_NAry):
+    _ufunc = np.add
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Max(Node):
+class Max(_NAry):
     """Coordinatewise maximum over a finite set of children."""
 
-    children: tuple[Node, ...]
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValueError("max needs at least one child")
-        object.__setattr__(self, "children", tuple(self.children))
+    _ufunc = np.maximum
 
 
 @dataclass(frozen=True)
@@ -165,8 +182,9 @@ class Section:
     ``domain`` optionally records the open set whose coordinate space
     the domain is; it is bookkeeping only and never affects evaluation.
     ``nodes`` lists the distinct DAG nodes children first (in order of
-    first visit, children left to right, so ``body`` comes last); every
-    operation on the DAG is one loop over it.
+    first visit, children left to right, so ``body`` comes last).  The
+    walk that builds it checks every width and records each node's child
+    positions and last consumer for ``_fold``.
     """
 
     domain_dim: int
@@ -174,67 +192,88 @@ class Section:
     body: Node
     domain: OpenSet | None = None
     nodes: tuple[Node, ...] = field(init=False, repr=False, compare=False)
+    _inputs: list[list[int]] = field(init=False, repr=False, compare=False)
+    _last: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes: list[Node] = []
-        width: dict[int, int] = {}  # by id(node); -1 while children pend
+        pos: dict[int, int] = {}  # by id(node); -1 while children pend
+        width: list[int] = []
+        inputs: list[list[int]] = []
+        last: list[int] = []  # each node's last consumer; -1 for none
         top = -1
         stack: list[Node] = [self.body]
         while stack:
             node = stack.pop()
             key = id(node)
-            w = width.get(key)
-            if w is not None:
-                if w >= 0:
-                    continue  # a shared node, already done
-                # otherwise the second visit: the children are done
-            elif isinstance(node, (Affine, Activation)):
-                width[key] = -1
-                stack.append(node)
-                stack.append(node.child)
-                continue
-            elif isinstance(node, (Product, Sum, Max)):
-                width[key] = -1
+            i = pos.get(key)
+            if i is None and node.children:
+                pos[key] = -1
                 stack.append(node)
                 stack.extend(node.children[::-1])
                 continue
+            if i is not None and i >= 0:
+                continue  # a shared node, already done
+            # a leaf, or the second visit: the children are done
+            i = len(nodes)
+            args = []
+            for c in node.children:
+                j = pos[id(c)]
+                args.append(j)
+                last[j] = i
+                if width[j] != width[args[0]]:
+                    raise ValueError("children of product/sum/max must share a width")
             if isinstance(node, Coords):
                 w = len(node.indices)
-                if w:
-                    top = max(top, *node.indices)
+                if w and min(node.indices) < 0:
+                    raise ValueError(f"Coords index {min(node.indices)} is negative")
+                top = max(top, *node.indices) if w else top
             elif isinstance(node, Const):
                 w = len(node.values)
-            elif isinstance(node, Affine):
-                w = len(node.matrix)
-            elif isinstance(node, Activation):
-                w = width[id(node.child)]
-            elif isinstance(node, (Product, Sum, Max)):
-                w = width[id(node.children[0])]
-                for c in node.children:
-                    if width[id(c)] != w:
-                        raise ValueError(
-                            "children of product/sum/max must share a width")
             else:
-                raise TypeError(f"unknown node type {type(node).__name__}")
-            width[key] = w
+                w = width[args[0]]
+            if isinstance(node, Affine):
+                if node.matrix and len(node.matrix[0]) != w:
+                    raise ValueError(f"Affine rows have length {len(node.matrix[0])} "
+                                     f"but its child has width {w}")
+                w = len(node.matrix)
+            pos[key] = i
             nodes.append(node)
-        w = width[id(self.body)]
-        if w != self.codomain_dim:
-            raise ValueError(f"body width {w} != codomain_dim {self.codomain_dim}")
+            width.append(w)
+            inputs.append(args)
+            last.append(-1)
+        if width[-1] != self.codomain_dim:
+            raise ValueError(
+                f"body width {width[-1]} != codomain_dim {self.codomain_dim}")
         if top >= self.domain_dim:
             raise ValueError("body references coordinates outside the domain")
-        object.__setattr__(self, "nodes", tuple(nodes))
+        self.__dict__.update(nodes=tuple(nodes), _inputs=inputs, _last=last)
 
     def __call__(self, y) -> np.ndarray:
         return evaluate(self, y)
 
 
-def evaluate(section: Section, y) -> np.ndarray:
-    """Evaluate at one point (shape (d,)) or a batch (shape (n, d)).
+def _fold(section: Section, rule: Callable[[Node, list], object]):
+    """The body's value, where a node's value is ``rule(node, its
+    children's values)``; each value is dropped after its last consumer,
+    so the values held grow with the DAG's width, not with its depth."""
+    nodes = section.nodes
+    if len(nodes) <= 2:  # at most one leaf below the body: nothing to drop
+        out = rule(nodes[0], [])
+        return out if len(nodes) == 1 else \
+            rule(nodes[1], [out] * len(section._inputs[1]))
+    vals: list = [None] * len(nodes)
+    last = section._last
+    for i, (node, args) in enumerate(zip(nodes, section._inputs)):
+        vals[i] = rule(node, [vals[j] for j in args] if args else [])
+        for j in args:
+            if last[j] == i:
+                vals[j] = None
+    return vals[-1]
 
-    Each intermediate value is dropped after its last consumer, so the
-    memory held grows with the DAG's width, not with its depth.
-    """
+
+def evaluate(section: Section, y) -> np.ndarray:
+    """Evaluate at one point (shape (d,)) or a batch (shape (n, d))."""
     arr = np.asarray(y, dtype=float)
     single = arr.ndim == 1
     if single:
@@ -243,48 +282,23 @@ def evaluate(section: Section, y) -> np.ndarray:
         raise ValueError(
             f"input shape {np.asarray(y).shape} does not match domain dim "
             f"{section.domain_dim}")
-    # drops[i]: the values whose last consumer is node i.  The root has
-    # no consumer, so it is never dropped; with two nodes the root is the
-    # only consumer, so there is nothing to drop early.
-    drops: dict[int, list[int]] = {}
-    if len(section.nodes) > 2:
-        last: dict[int, int] = {}
-        for i, node in enumerate(section.nodes):
-            if isinstance(node, (Affine, Activation)):
-                last[id(node.child)] = i
-            elif isinstance(node, (Product, Sum, Max)):
-                for c in node.children:
-                    last[id(c)] = i
-        for key, i in last.items():
-            drops.setdefault(i, []).append(key)
-    vals: dict[int, np.ndarray] = {}
-    for i, node in enumerate(section.nodes):
+
+    def value(node: Node, args: list) -> np.ndarray:
         if isinstance(node, Coords):
-            out = arr[:, list(node.indices)] if node.indices else \
-                np.zeros((arr.shape[0], 0))
-        elif isinstance(node, Const):
-            out = np.broadcast_to(np.asarray(node.values, dtype=float),
-                                  (arr.shape[0], len(node.values))).copy()
-        elif isinstance(node, Affine):
-            m = np.asarray(node.matrix, dtype=float)
-            out = vals[id(node.child)] @ m.T + np.asarray(node.bias, dtype=float)
-        elif isinstance(node, Activation):
-            out = ACTIVATIONS[node.name].fn(vals[id(node.child)])
-        elif isinstance(node, Product):
-            out = vals[id(node.children[0])]
-            for c in node.children[1:]:
-                out = out * vals[id(c)]
-        elif isinstance(node, Sum):
-            out = vals[id(node.children[0])]
-            for c in node.children[1:]:
-                out = out + vals[id(c)]
-        else:  # Max
-            out = vals[id(node.children[0])]
-            for c in node.children[1:]:
-                out = np.maximum(out, vals[id(c)])
-        vals[id(node)] = out
-        for key in drops.get(i, ()):
-            del vals[key]
+            return arr[:, list(node.indices)]
+        if isinstance(node, Const):
+            return np.broadcast_to(np.asarray(node.values, dtype=float),
+                                   (len(arr), len(node.values))).copy()
+        if isinstance(node, Affine):
+            if not node.matrix:
+                return np.zeros((len(arr), 0))
+            return args[0] @ np.asarray(node.matrix, dtype=float).T + \
+                np.asarray(node.bias, dtype=float)
+        if isinstance(node, Activation):
+            return ACTIVATIONS[node.name].fn(args[0])
+        return reduce(node._ufunc, args)
+
+    out = _fold(section, value)
     return out[0] if single else out
 
 
@@ -313,22 +327,14 @@ class ActivationInfo:
     unreachable_value: float | None
 
 
-ACTIVATIONS: dict[str, ActivationInfo] = {}
-
-
-def register_activation(info: ActivationInfo) -> None:
-    ACTIVATIONS[info.name] = info
-
-
-for _info in (
+ACTIVATIONS: dict[str, ActivationInfo] = {info.name: info for info in (
     ActivationInfo("identity", lambda x: x, True, True, True, None),
     ActivationInfo("relu", lambda x: np.maximum(x, 0.0), False, False, False, -1.0),
     ActivationInfo("sigmoid", _sigmoid, False, True, False, 2.0),
     ActivationInfo("tanh", np.tanh, False, True, False, 2.0),
     ActivationInfo("sin", np.sin, False, False, False, 2.0),
     ActivationInfo("cos", np.cos, False, False, False, 2.0),
-):
-    register_activation(_info)
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -387,37 +393,23 @@ def zero_pad_map(fibers: Sequence[int], small: OpenSet, big: OpenSet) -> CoordMa
 def _rewrite(section: Section, slots: tuple[int | None, ...]) -> Node:
     """The section's body with coordinate i read from ``slots[i]`` (None
     reads zero); shared nodes stay shared."""
-    new: dict[int, Node] = {}
-    for node in section.nodes:
-        if isinstance(node, Coords):
-            mapped = [slots[i] for i in node.indices]
-            if all(m is not None for m in mapped):
-                out: Node = Coords(tuple(mapped))  # type: ignore[arg-type]
-            else:
-                survivors = [m for m in mapped if m is not None]
-                if not survivors:
-                    out = Const((0.0,) * len(mapped))
-                else:
-                    rows = []
-                    pos = 0
-                    for m in mapped:
-                        row = [0.0] * len(survivors)
-                        if m is not None:
-                            row[pos] = 1.0
-                            pos += 1
-                        rows.append(tuple(row))
-                    out = Affine(tuple(rows), (0.0,) * len(mapped),
-                                 Coords(tuple(survivors)))
-        elif isinstance(node, Const):
-            out = node
-        elif isinstance(node, Affine):
-            out = Affine(node.matrix, node.bias, new[id(node.child)])
-        elif isinstance(node, Activation):
-            out = Activation(node.name, new[id(node.child)])
-        else:  # Product, Sum, Max
-            out = type(node)(tuple(new[id(c)] for c in node.children))
-        new[id(node)] = out
-    return out
+    def rule(node: Node, args: list) -> Node:
+        if not isinstance(node, Coords):
+            return _rebuilt(node, tuple(args)) if args else node
+        mapped = [slots[i] for i in node.indices]
+        survivors = [m for m in mapped if m is not None]
+        if len(survivors) == len(mapped):
+            return Coords(tuple(survivors))
+        if not survivors:
+            return Const((0.0,) * len(mapped))
+        rows, pos = [], 0  # row t reads survivor pos, or is zero
+        for m in mapped:
+            rows.append(tuple(float(m is not None and c == pos)
+                              for c in range(len(survivors))))
+            pos += m is not None
+        return Affine(tuple(rows), (0.0,) * len(mapped), Coords(tuple(survivors)))
+
+    return _fold(section, rule)
 
 
 def compose_coord(section: Section, cmap: CoordMap) -> Section:
@@ -543,44 +535,33 @@ def polynomial_coefficients(section: Section) -> list[dict[Monomial, Fraction]]:
     exactly via Fraction(float).
     """
     zero: Monomial = (0,) * section.domain_dim
-    polys: dict[int, list[dict[Monomial, Fraction]]] = {}
-    for node in section.nodes:
+
+    def coefficients(node: Node, parts: list) -> list[dict[Monomial, Fraction]]:
+        out: list[dict[Monomial, Fraction]] = []
         if isinstance(node, Coords):
-            out = []
-            for i in node.indices:
-                m = list(zero)
-                m[i] = 1
-                out.append({tuple(m): Fraction(1)})
+            out = [{zero[:i] + (1,) + zero[i + 1:]: Fraction(1)} for i in node.indices]
         elif isinstance(node, Const):
             out = [{zero: Fraction(v)} if v else {} for v in node.values]
         elif isinstance(node, Activation) and node.name == "identity":
-            out = polys[id(node.child)]
+            out = parts[0]
         elif isinstance(node, Affine):
-            child = polys[id(node.child)]
-            out = []
             for row, bval in zip(node.matrix, node.bias):
                 acc: dict[Monomial, Fraction] = {}
-                for coef, poly in zip(row, child):
-                    if coef == 0.0:
-                        continue
-                    fc = Fraction(coef)
-                    for mono, c in poly.items():
-                        _accumulate(acc, mono, fc * c)
+                for coef, poly in zip(row, parts[0]):
+                    if coef:
+                        fc = Fraction(coef)
+                        for mono, c in poly.items():
+                            _accumulate(acc, mono, fc * c)
                 if bval:
                     _accumulate(acc, zero, Fraction(bval))
                 out.append(acc)
         elif isinstance(node, Sum):
-            parts = [polys[id(c)] for c in node.children]
-            out = []
-            for slot in range(len(parts[0])):
+            for polys in zip(*parts):
                 acc = {}
-                for part in parts:
-                    for mono, c in part[slot].items():
-                        _accumulate(acc, mono, c)
+                for mono, c in (term for poly in polys for term in poly.items()):
+                    _accumulate(acc, mono, c)
                 out.append(acc)
         elif isinstance(node, Product):
-            parts = [polys[id(c)] for c in node.children]
-            out = []
             for slot in range(len(parts[0])):
                 acc = parts[0][slot]
                 for part in parts[1:]:
@@ -593,8 +574,9 @@ def polynomial_coefficients(section: Section) -> list[dict[Monomial, Fraction]]:
                 out.append(acc)
         else:
             raise ValueError("section is not polynomial")
-        polys[id(node)] = out
-    return out
+        return out
+
+    return _fold(section, coefficients)
 
 
 def polynomial_section(domain_dim: int, codomain_dim: int,
@@ -633,55 +615,61 @@ def polynomial_section(domain_dim: int, codomain_dim: int,
 # JSON serialization
 
 
+_KINDS: dict[str, type] = {cls.__name__.lower(): cls for cls in (
+    Coords, Const, Affine, Activation, Product, Sum, Max)}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _KIND_OF}
+
+
 def section_to_json(section: Section) -> dict:
     """Serialize to an explicit node-id expression tree (row-major arrays).
 
-    Node ids follow ``section.nodes``, so children precede parents and
-    the root is the last node.
+    Each node is its kind, then its dataclass fields in order with nodes
+    written as ids, then its id.  Ids follow ``section.nodes``, so
+    children precede parents and the root is the last node.
     """
     ids = {id(node): i for i, node in enumerate(section.nodes)}
-    nodes: list[dict] = []
-    for node in section.nodes:
-        if isinstance(node, Coords):
-            entry = {"kind": "coords", "indices": list(node.indices)}
-        elif isinstance(node, Const):
-            entry = {"kind": "const", "values": list(node.values)}
-        elif isinstance(node, Affine):
-            entry = {"kind": "affine", "matrix": [list(r) for r in node.matrix],
-                     "bias": list(node.bias), "child": ids[id(node.child)]}
-        elif isinstance(node, Activation):
-            entry = {"kind": "activation", "name": node.name,
-                     "child": ids[id(node.child)]}
-        else:
-            kind = {Product: "product", Sum: "sum", Max: "max"}[type(node)]
-            entry = {"kind": kind, "children": [ids[id(c)] for c in node.children]}
-        entry["id"] = len(nodes)
-        nodes.append(entry)
+
+    def encode(v):
+        if isinstance(v, Node):
+            return ids[id(v)]
+        return [encode(x) for x in v] if isinstance(v, tuple) else v
+
+    nodes = [{"kind": _KIND_OF[type(node)],
+              **{name: encode(getattr(node, name)) for name in _FIELDS[type(node)]},
+              "id": i} for i, node in enumerate(section.nodes)]
     return {"domain_dim": section.domain_dim, "codomain_dim": section.codomain_dim,
             "root": len(nodes) - 1, "nodes": nodes}
 
 
 def section_from_json(obj: dict, domain: OpenSet | None = None) -> Section:
+    """Load what section_to_json writes.  Ids, references, indices and dims
+    are integers, and a reference names an earlier node (else ValueError)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     built: dict[int, Node] = {}
+
+    def ref(raw, name: str) -> Node:
+        i = _json_int(raw, name)
+        if i not in built:
+            raise ValueError(f"{name} {i} names no earlier node")
+        return built[i]
+
+    def decode(name: str, raw):
+        if name == "child":
+            return ref(raw, name)
+        if name == "children":
+            return tuple(ref(c, name) for c in raw)
+        if name == "indices":
+            return tuple(_json_int(i, name) for i in raw)
+        return raw
+
     for entry in obj["nodes"]:
-        kind = entry["kind"]
-        if kind == "coords":
-            node: Node = Coords(tuple(entry["indices"]))
-        elif kind == "const":
-            node = Const(tuple(entry["values"]))
-        elif kind == "affine":
-            node = Affine(tuple(map(tuple, entry["matrix"])), tuple(entry["bias"]),
-                          built[entry["child"]])
-        elif kind == "activation":
-            node = Activation(entry["name"], built[entry["child"]])
-        elif kind in ("product", "sum", "max"):
-            cls = {"product": Product, "sum": Sum, "max": Max}[kind]
-            node = cls(tuple(built[c] for c in entry["children"]))
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-        built[entry["id"]] = node
-    return Section(domain_dim=int(obj["domain_dim"]),
-                   codomain_dim=int(obj["codomain_dim"]),
-                   body=built[obj["root"]], domain=domain)
+        cls = _KINDS.get(entry["kind"])
+        if cls is None:
+            raise ValueError(f"unknown node kind {entry['kind']!r}")
+        node = cls(*[decode(name, entry[name]) for name in _FIELDS[cls]])
+        built[_json_int(entry["id"], "id")] = node
+    return Section(domain_dim=_json_int(obj["domain_dim"], "domain_dim"),
+                   codomain_dim=_json_int(obj["codomain_dim"], "codomain_dim"),
+                   body=ref(obj["root"], "root"), domain=domain)

@@ -740,15 +740,6 @@ class AttackSpec:
         return _p_norm([float(v) for vec in self.perturbations for v in vec],
                        self.p)
 
-    def zero_sum_exact(self, aggregation: Sequence[Sequence[int]]) -> bool:
-        width = len(self.perturbations[0]) if self.perturbations else 0
-        for atuple in aggregation:
-            for s in range(width):
-                if sum((self.perturbations[a][s] for a in atuple),
-                       Fraction(0)) != 0:
-                    return False
-        return True
-
     def to_json(self) -> dict:
         return {"layer_index": self.layer_index, "p": self.p,
                 "delta": self.delta,

@@ -15,6 +15,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TWO = str(FIXTURES / "two_disjoint.json")
 TRIANGLE = str(FIXTURES / "triangle.json")
 SUMPOOL = str(FIXTURES / "sumpool.json")
+SUMPOOL_NODES = str(FIXTURES / "sumpool_nodes.json")
 C6 = str(FIXTURES / "c6.json")
 TWO_C3 = str(FIXTURES / "2c3.json")
 P3 = str(FIXTURES / "p3.json")
@@ -233,8 +234,11 @@ def _cover_doc(**fields):
     return {**doc, **fields}
 
 
-def _sumpool_doc(path, value):
-    doc = json.loads(Path(SUMPOOL).read_text())
+PHI0 = ["layers", 0, "phi", 0]
+
+
+def _sumpool_doc(path, value, source=SUMPOOL):
+    doc = json.loads(Path(source).read_text())
     *keys, last = path
     node = doc
     for key in keys:
@@ -260,6 +264,22 @@ def _sumpool_doc(path, value):
      "aggregation"),
     ("thm4.2", _sumpool_doc(["stages", 1, 0], [1, 2.5]), "stages"),
     ("thm4.2", _sumpool_doc(["space", "fiber_dims", 0], 1.1), "fiber_dims"),
+    # a phi in the node schema: ids, references, indices and dims
+    ("thm4.2", _sumpool_doc(PHI0 + ["nodes", 0, "indices"], [0.7],
+                            SUMPOOL_NODES), "indices"),
+    ("thm4.3", _sumpool_doc(PHI0 + ["nodes", 0, "indices"], [0.7],
+                            SUMPOOL_NODES), "indices"),
+    ("thm4.2", _sumpool_doc(PHI0 + ["domain_dim"], 1.5, SUMPOOL_NODES),
+     "domain_dim"),
+    ("thm4.3", _sumpool_doc(PHI0 + ["domain_dim"], 1.5, SUMPOOL_NODES),
+     "domain_dim"),
+    ("thm4.2", _sumpool_doc(PHI0 + ["codomain_dim"], 1.5, SUMPOOL_NODES),
+     "codomain_dim"),
+    ("thm4.2", _sumpool_doc(PHI0 + ["root"], 1.5, SUMPOOL_NODES), "root"),
+    ("thm4.2", _sumpool_doc(PHI0 + ["nodes", 1, "child"], 0.5, SUMPOOL_NODES),
+     "child"),
+    ("thm4.2", _sumpool_doc(PHI0 + ["nodes", 0, "id"], 0.5, SUMPOOL_NODES),
+     "id"),
 ])
 def test_non_integral_json_numbers_exit_2(capsys, tmp_path, command, doc,
                                           field):
@@ -267,7 +287,8 @@ def test_non_integral_json_numbers_exit_2(capsys, tmp_path, command, doc,
     path.write_text(json.dumps(doc))
     argv = {"cohomology": ["cohomology", "--cover", str(path)],
             "wl-compare": ["wl-compare", str(path), P3],
-            "thm4.2": ["witness", "thm4.2", "--net", str(path)]}[command]
+            "thm4.2": ["witness", "thm4.2", "--net", str(path)],
+            "thm4.3": ["witness", "thm4.3", "--net", str(path)]}[command]
     code = main(argv)
     captured = capsys.readouterr()
     if field is None:  # floats with integral values are integers

@@ -42,6 +42,9 @@ CASES = {
     "witness_thm4.2_sumpool_p3.5_delta4": ["witness", "thm4.2", "--net",
                                            "sumpool.json", "--p", "3.5",
                                            "--delta", "4"],
+    # every phi in the node schema, so the generic JSON reader loads it
+    "witness_thm4.2_sumpool_nodes": ["witness", "thm4.2", "--net",
+                                     "sumpool_nodes.json", "--p", "2"],
 }
 
 

@@ -1,13 +1,16 @@
 """Symbolic sections, coordinate maps and exact polynomial views."""
 
+import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coversheaf.cli import main
 from coversheaf.topology import OpenSet
 from coversheaf.sections import (ACTIVATIONS, Activation, Affine, Const,
                                  Coords, Product, Section, Sum,
@@ -22,6 +25,8 @@ from coversheaf.sections import (ACTIVATIONS, Activation, Affine, Const,
                                  zero_section)
 from coversheaf.witnesses import multi_mixed_difference
 
+SUMPOOL_NODES = Path(__file__).resolve().parent.parent / "fixtures" / \
+    "sumpool_nodes.json"
 UNIT3 = (1, 1, 1)
 U_ALL = OpenSet(id="all", members=frozenset({1, 2, 3}))
 U_12 = OpenSet(id="left", members=frozenset({1, 2}))
@@ -228,7 +233,7 @@ def test_nodes_are_distinct_and_children_first():
     assert "nodes" not in repr(sec)
 
 
-def test_section_checks_every_node():
+def test_section_checks_every_node(tmp_path, capsys):
     mixed = Sum((Coords((0,)), Coords((0, 1))))
     with pytest.raises(ValueError, match="share a width"):
         Section(domain_dim=2, codomain_dim=1,
@@ -238,6 +243,22 @@ def test_section_checks_every_node():
     with pytest.raises(ValueError, match="outside the domain"):
         Section(domain_dim=2, codomain_dim=1,
                 body=Activation("relu", Coords((2,))))
+    # an affine map whose rows do not match its child's width
+    with pytest.raises(ValueError, match="rows have length 3 but its child "
+                                         "has width 2"):
+        Section(2, 1, Affine(((1.0, 2.0, 3.0),), (0.0,), Coords((0, 1))))
+    # a negative index does not read from the end
+    with pytest.raises(ValueError, match="Coords index -1 is negative"):
+        Section(2, 1, Coords((-1,)))
+    doc = json.loads(SUMPOOL_NODES.read_text())
+    doc["layers"][0]["phi"][0]["nodes"][0]["indices"] = [-1]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    for claim in ("thm4.2", "thm4.3"):
+        assert main(["witness", claim, "--net", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Coords index -1 is negative\n"
 
 
 DEEP = 5_000
@@ -275,6 +296,66 @@ def test_deep_dag_coefficients_and_json_round_trip():
     doc = section_to_json(sec)
     assert doc["root"] == DEEP + 2
     assert section_to_json(section_from_json(doc)) == doc
+
+
+# integers as JSON may spell them: in and out of range, negative, or
+# floats with and without an integral value
+_JSON_INT = st.one_of(st.integers(-2, 4), st.sampled_from([0.5, 1.0, -1.0, 2.5]))
+_PARAM = st.floats(-2.0, 2.0)
+
+
+def _mostly(good, bad=_JSON_INT):
+    """A strategy that draws from ``good`` nine times in ten."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+@st.composite
+def node_documents(draw):
+    """Section documents with every key present and random contents."""
+    nodes = []
+    for i in range(draw(st.integers(1, 6))):
+        kinds = st.sampled_from(["coords", "const", "affine", "activation",
+                                 "product", "sum", "max"])
+        # only a leaf can come first in a document that loads
+        kind = draw(_mostly(st.sampled_from(["coords", "const"]), kinds)
+                    if i == 0 else kinds)
+        ref = _mostly(st.integers(0, max(i - 1, 0)))
+        entry = {"kind": kind}
+        if kind == "coords":
+            entry["indices"] = draw(st.lists(_mostly(st.integers(0, 2)),
+                                             max_size=3))
+        elif kind == "const":
+            entry["values"] = draw(st.lists(_PARAM, max_size=3))
+        elif kind == "affine":
+            rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+            entry["matrix"] = draw(st.lists(st.lists(_PARAM, min_size=cols,
+                                                     max_size=cols),
+                                            min_size=rows, max_size=rows))
+            entry["bias"] = draw(st.lists(_PARAM, min_size=rows, max_size=rows))
+            entry["child"] = draw(ref)
+        elif kind == "activation":
+            entry["name"] = draw(st.sampled_from(sorted(ACTIVATIONS)))
+            entry["child"] = draw(ref)
+        else:
+            entry["children"] = draw(st.lists(ref, min_size=1, max_size=3))
+        entry["id"] = draw(_mostly(st.just(i)))
+        nodes.append(entry)
+    return {"domain_dim": draw(_mostly(st.integers(0, 3))),
+            "codomain_dim": draw(_mostly(st.integers(0, 3))),
+            "root": draw(_mostly(st.just(len(nodes) - 1))), "nodes": nodes}
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_documents())
+def test_random_node_documents_load_or_raise_value_error(doc):
+    try:
+        sec = section_from_json(doc)
+    except ValueError:
+        return
+    out = evaluate(sec, np.ones((3, sec.domain_dim)))
+    assert out.shape == (3, sec.codomain_dim)
+    assert section_to_json(section_from_json(section_to_json(sec))) == \
+        section_to_json(sec)
 
 
 def tanh_chain(depth: int) -> Section:

@@ -312,8 +312,8 @@ def test_attack_spec_displacement():
     one = AttackSpec(layer_index=0, p=1.0, delta=1.0,
                      perturbations=spec.perturbations)
     assert one.displacement() == 6.0
-    assert spec.zero_sum_exact([(0, 1), (2, 3)])
-    assert not spec.zero_sum_exact([(0, 2), (1, 3)])
+    assert _old_zero_sum(spec.perturbations, [(0, 1), (2, 3)])
+    assert not _old_zero_sum(spec.perturbations, [(0, 2), (1, 3)])
 
 
 def test_adversarial_attack_on_sum_pool():
