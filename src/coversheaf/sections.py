@@ -558,8 +558,9 @@ def polynomial_coefficients(section: Section) -> list[dict[Monomial, Fraction]]:
         elif isinstance(node, Sum):
             for polys in zip(*parts):
                 acc = {}
-                for mono, c in (term for poly in polys for term in poly.items()):
-                    _accumulate(acc, mono, c)
+                for poly in polys:
+                    for mono, c in poly.items():
+                        _accumulate(acc, mono, c)
                 out.append(acc)
         elif isinstance(node, Product):
             for slot in range(len(parts[0])):
@@ -617,8 +618,7 @@ def polynomial_section(domain_dim: int, codomain_dim: int,
 
 _KINDS: dict[str, type] = {cls.__name__.lower(): cls for cls in (
     Coords, Const, Affine, Activation, Product, Sum, Max)}
-_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
-_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _KIND_OF}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _KINDS.values()}
 
 
 def section_to_json(section: Section) -> dict:
@@ -635,7 +635,7 @@ def section_to_json(section: Section) -> dict:
             return ids[id(v)]
         return [encode(x) for x in v] if isinstance(v, tuple) else v
 
-    nodes = [{"kind": _KIND_OF[type(node)],
+    nodes = [{"kind": type(node).__name__.lower(),
               **{name: encode(getattr(node, name)) for name in _FIELDS[type(node)]},
               "id": i} for i, node in enumerate(section.nodes)]
     return {"domain_dim": section.domain_dim, "codomain_dim": section.codomain_dim,

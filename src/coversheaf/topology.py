@@ -309,8 +309,6 @@ def check_na_axioms(seq: CoverSequence) -> AxiomReport:
 def _json_int(value, field: str) -> int:
     """An integer read from JSON: an int, or a float with an integral
     value.  Bools, strings and fractional floats raise ValueError."""
-    if type(value) is int:  # the common case, without the ABC check
-        return value
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, float) and value.is_integer():
