@@ -189,9 +189,8 @@ def _cmd_wl_compare(args) -> tuple[list[dict], dict]:
     return [entry], config
 
 
-def _attention_entries(seed: int) -> list[dict]:
+def _attention_entries(net, seed: int) -> list[dict]:
     n_tokens, d_model = 3, 4
-    net = build_attention(n_tokens, d_model, heads=2, head_dim=2, seed=seed)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(net.input_dim)
     stage1 = forward(net, x).stages[1]
@@ -245,7 +244,7 @@ def _cmd_demo(args) -> tuple[list[dict], dict]:
         return reports, config
     # args.name == "attention"
     net = build_attention(3, 4, heads=2, head_dim=2, seed=seed)
-    reports = _attention_entries(seed)
+    reports = _attention_entries(net, seed)
     reports += _factors_entries(net, samples, tol, seed)
     return reports, config
 

@@ -102,7 +102,22 @@ class Coords(Node):
     children = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices",
+                           tuple(_json_int(i, "indices") for i in self.indices))
+
+
+def _reals(values, name: str) -> tuple[float, ...]:
+    """Float node parameters.  A non-number (a bool or str included, not
+    read as 0/1 or parsed) raises ValueError naming ``name``."""
+    out = []
+    for v in values:
+        try:
+            if isinstance(v, (bool, str)):
+                raise TypeError
+            out.append(float(v))
+        except TypeError:
+            raise ValueError(f"{name} must hold numbers, got {v!r}") from None
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -111,7 +126,7 @@ class Const(Node):
     children = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", _reals(self.values, "values"))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -123,9 +138,9 @@ class Affine(Node):
     child: Node
 
     def __post_init__(self):
-        m = tuple(tuple(float(v) for v in row) for row in self.matrix)
+        m = tuple(_reals(row, "matrix") for row in self.matrix)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "bias", tuple(float(v) for v in self.bias))
+        object.__setattr__(self, "bias", _reals(self.bias, "bias"))
         object.__setattr__(self, "children", (self.child,))
         if len(self.bias) != len(m):
             raise ValueError("bias length must match matrix rows")
@@ -451,9 +466,10 @@ def identity_section(dim: int, domain: OpenSet | None = None) -> Section:
 
 
 def affine_section(matrix, bias=None, domain: OpenSet | None = None) -> Section:
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    b = np.zeros(m.shape[0]) if bias is None else np.asarray(bias, dtype=float)
-    body = Affine(tuple(map(tuple, m)), tuple(b), Coords(tuple(range(m.shape[1]))))
+    # entries reach Affine as given, so it converts and checks them
+    m = np.atleast_2d(np.asarray(matrix, dtype=object))
+    b = (0.0,) * m.shape[0] if bias is None else bias
+    body = Affine(tuple(map(tuple, m)), b, Coords(tuple(range(m.shape[1]))))
     return Section(domain_dim=m.shape[1], codomain_dim=m.shape[0],
                    body=body, domain=domain)
 
@@ -660,8 +676,6 @@ def section_from_json(obj: dict, domain: OpenSet | None = None) -> Section:
             return ref(raw, name)
         if name == "children":
             return tuple(ref(c, name) for c in raw)
-        if name == "indices":
-            return tuple(_json_int(i, name) for i in raw)
         return raw
 
     for entry in obj["nodes"]:

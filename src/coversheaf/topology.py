@@ -15,7 +15,7 @@ format.
 from __future__ import annotations
 
 import json
-import numbers
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -198,13 +198,6 @@ class AxiomReport:
         }
 
 
-def _union(sets: Iterable[frozenset[int]]) -> frozenset[int]:
-    out: frozenset[int] = frozenset()
-    for s in sets:
-        out = out | s
-    return out
-
-
 def proper_unions(targets: Sequence[frozenset[int]],
                   prev: Sequence[frozenset[int]]) -> list[bool]:
     """Is each target the union of a proper subfamily of ``prev``?
@@ -272,8 +265,7 @@ def check_na_axioms(seq: CoverSequence) -> AxiomReport:
         prev = seq.stages[n - 1].memberships()
         cur = seq.stages[n].memberships()
 
-        covered = _union(cur)
-        missing = sorted(points - covered)
+        missing = sorted(points - seq.stages[n].covered)
         locality = bool(missing)
 
         strictness = len(prev) > len(cur)
@@ -307,16 +299,24 @@ def check_na_axioms(seq: CoverSequence) -> AxiomReport:
 
 
 def _json_int(value, field: str) -> int:
-    """An integer read from JSON: an int, or a float with an integral
-    value.  Bools, strings and fractional floats raise ValueError."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
+    """An integer read from JSON: an int (any ``__index__`` type), or a
+    float with an integral value.  Bools, strings and fractional floats
+    raise ValueError.  ``operator.index`` rather than an ABC check keeps
+    it cheap enough for every ``Coords`` index."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def structure_from_json(obj: dict) -> tuple:
+    if not isinstance(obj, dict):
+        raise ValueError(f"structure must be a JSON object, got {obj!r}")
     kind = obj.get("kind", "abstract")
     if kind == "grid":
         return ("grid", _json_int(obj["rows"], "rows"),

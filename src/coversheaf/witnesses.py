@@ -290,6 +290,23 @@ def _scaled(section: Section, c: int) -> Section:
                    domain=section.domain)
 
 
+def _local_family(locals_: Sequence[Section], cover: Cover) -> int:
+    """The codomain dimension shared by one local per cover element,
+    each over its element's coordinates (else ValueError)."""
+    mems = cover.memberships()
+    if len(locals_) != len(mems):
+        raise ValueError("one local section per cover element required")
+    ks = {s.codomain_dim for s in locals_}
+    if len(ks) != 1:
+        raise ValueError("locals must share a codomain dimension")
+    for i, s in enumerate(locals_):
+        want = open_set_dim(mems[i], cover.space.fiber_dims)
+        if s.domain_dim != want:
+            raise ValueError(f"local {i} has domain dim {s.domain_dim}, "
+                             f"expected {want}")
+    return ks.pop()
+
+
 def inclusion_exclusion_faces(mems: Sequence[frozenset[int]]
                               ) -> dict[frozenset[int], int]:
     """Face -> integer coefficient of the inclusion-exclusion expansion.
@@ -334,20 +351,10 @@ def glue_inclusion_exclusion(locals_: Sequence[Section], cover: Cover,
     IncompatibleLocalsError with the first offending pair (by maximal
     deviation) recorded.
     """
+    k = _local_family(locals_, cover)
     fibers = cover.space.fiber_dims
     mems = cover.memberships()
     n = len(mems)
-    if len(locals_) != n:
-        raise ValueError("one local section per cover element required")
-    ks = {s.codomain_dim for s in locals_}
-    if len(ks) != 1:
-        raise ValueError("locals must share a codomain dimension")
-    for i, s in enumerate(locals_):
-        want = open_set_dim(mems[i], fibers)
-        if s.domain_dim != want:
-            raise ValueError(f"local {i} has domain dim {s.domain_dim}, "
-                             f"expected {want}")
-    k = ks.pop()
 
     worst_pair = None
     worst_dev = -1.0
@@ -469,108 +476,67 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
     consecutive overlaps.  A monomial carried by a single element with
     a nonzero coefficient contradicts the premise and is reported.
     """
+    k = _local_family(locals_, cover)
     fibers = cover.space.fiber_dims
     mems = cover.memberships()
-    n = len(mems)
-    if len(locals_) != n:
-        raise ValueError("one local section per cover element required")
-    ks = {s.codomain_dim for s in locals_}
-    if len(ks) != 1:
-        raise ValueError("locals must share a codomain dimension")
-    k = ks.pop()
 
-    layouts = [slot_layout(m, fibers) for m in mems]
-    polys = [polynomial_coefficients(s) for s in locals_]
-
-    # global monomial -> per-element coefficient vectors
+    # global monomial -> per-element coefficient vectors; ``left`` holds
+    # each (element, monomial, output slot) coefficient the pairwise
+    # parts must still reconstruct
     table: dict[tuple, dict[int, list[Fraction]]] = {}
-    for a in range(n):
-        for out_slot, poly in enumerate(polys[a]):
+    left: dict[tuple, Fraction] = {}
+    for a, local in enumerate(locals_):
+        layout = slot_layout(mems[a], fibers)
+        for s, poly in enumerate(polynomial_coefficients(local)):
             for mono, c in poly.items():
-                key = _global_monomial(mono, layouts[a])
-                vecs = table.setdefault(key, {})
-                vec = vecs.setdefault(a, [Fraction(0)] * k)
-                vec[out_slot] += c
+                key = _global_monomial(mono, layout)
+                vec = table.setdefault(key, {}).setdefault(a, [Fraction(0)] * k)
+                vec[s] = c
+                left[(a, key, s)] = c
 
-    pair_coeffs: dict[tuple[int, int], list[dict[tuple, Fraction]]] = {}
-
-    def add_pair(a: int, b: int, key: tuple, vec: list[Fraction]) -> None:
-        overlap = mems[a] & mems[b]
-        layout = slot_layout(overlap, fibers)
-        mono = [0] * open_set_dim(overlap, fibers)
-        for (p, j), e in key:
-            mono[layout[p][j]] = e
-        target = pair_coeffs.setdefault((a, b), [dict() for _ in range(k)])
-        for s in range(k):
-            if vec[s]:
-                _accumulate(target[s], tuple(mono), vec[s])
-
+    # each monomial's telescoping prefix sums, by consecutive pair of
+    # the elements able to carry it
+    parts: dict[tuple[int, int], list[tuple[tuple, list[Fraction]]]] = {}
     for key, vecs in table.items():
-        total = [Fraction(0)] * k
-        for vec in vecs.values():
-            for s in range(k):
-                total[s] += vec[s]
-        if any(total):
+        if any(sum(col) for col in zip(*vecs.values())):
             raise KernelPremiseError(
                 "extended locals do not sum to zero", monomial=key)
-        support = {p for (p, _off), e in key if e}
-        allowed = [a for a in range(n) if support <= mems[a]]
-        contributors = [a for a, vec in vecs.items() if any(vec)]
-        if not contributors:
-            continue
+        support = {p for (p, _off), _e in key}
+        allowed = [a for a, m in enumerate(mems) if support <= m]
         if len(allowed) < 2:
             raise KernelPremiseError(
                 "a monomial is supported outside every pairwise overlap",
                 monomial=key)
         prefix = [Fraction(0)] * k
-        for t in range(len(allowed) - 1):
-            vec = vecs.get(allowed[t])
-            if vec is not None:
-                for s in range(k):
-                    prefix[s] += vec[s]
+        for a, b in zip(allowed, allowed[1:]):
+            for s, c in enumerate(vecs.get(a, ())):
+                prefix[s] += c
             if any(prefix):
-                add_pair(allowed[t], allowed[t + 1], key, list(prefix))
+                parts.setdefault((a, b), []).append((key, list(prefix)))
 
-    # exact internal audit: antisymmetry is structural (one orientation is
-    # stored); verify the per-element reconstruction before emitting.
-    recon: dict[int, list[dict[tuple, Fraction]]] = {
-        a: [dict() for _ in range(k)] for a in range(n)}
-
-    def add_global(acc, key, vec, sign):
-        for s in range(k):
-            if vec[s]:
-                _accumulate(acc[s], key, sign * vec[s])
-
-    for (a, b), per_out in pair_coeffs.items():
-        layout = slot_layout(mems[a] & mems[b], fibers)
-        for s in range(k):
-            for mono, c in per_out[s].items():
-                key = _global_monomial(mono, layout)
-                vec = [Fraction(0)] * k
-                vec[s] = c
-                add_global(recon[a], key, vec, 1)
-                add_global(recon[b], key, vec, -1)
-
-    for a in range(n):
-        want: dict[int, dict[tuple, Fraction]] = {s: {} for s in range(k)}
-        for key, vecs in table.items():
-            vec = vecs.get(a)
-            if vec:
-                for s in range(k):
-                    if vec[s]:
-                        want[s][key] = vec[s]
-        got = {s: dict(recon[a][s]) for s in range(k)}
-        if want != got:
-            raise KernelPremiseError(
-                f"internal reconstruction mismatch at element {a}")
-
+    # write each pair's overlap-local coefficients once; the exact audit
+    # takes f[(a, b)] off element a and f[(b, a)] = -f[(a, b)] off b
     out: dict[tuple[int, int], Section] = {}
-    for (a, b), per_out in pair_coeffs.items():
+    for (a, b), pair_parts in parts.items():
         overlap = OpenSet(id=f"overlap{a}.{b}", members=mems[a] & mems[b])
+        layout = slot_layout(overlap.members, fibers)
         d = open_set_dim(overlap.members, fibers)
-        out[(a, b)] = polynomial_section(d, k, per_out, domain=overlap)
-        neg = [{m: -c for m, c in per_out[s].items()} for s in range(k)]
+        coeffs: list[dict[tuple, Fraction]] = [dict() for _ in range(k)]
+        for key, vec in pair_parts:
+            mono = [0] * d
+            for (p, j), e in key:
+                mono[layout[p][j]] = e
+            for s, c in enumerate(vec):
+                if c:
+                    coeffs[s][tuple(mono)] = c
+                    _accumulate(left, (a, key, s), -c)
+                    _accumulate(left, (b, key, s), c)
+        out[(a, b)] = polynomial_section(d, k, coeffs, domain=overlap)
+        neg = [{m: -c for m, c in per.items()} for per in coeffs]
         out[(b, a)] = polynomial_section(d, k, neg, domain=overlap)
+    if left:
+        raise KernelPremiseError("internal reconstruction mismatch at "
+                                 f"element {min(a for a, _, _ in left)}")
     return out
 
 
@@ -587,26 +553,22 @@ def kernel_report(cover: Cover, k: int = 1, seed: int = 0,
     n = len(mems)
     rng = np.random.default_rng(seed)
 
-    gen: dict[tuple[int, int], list[dict]] = {}
+    gen: dict[tuple[int, int], tuple[OpenSet, Section]] = {}
     pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
              if mems[i] & mems[j]]
     for (i, j) in pairs[:max(n_pairs, 1)]:
-        d = open_set_dim(mems[i] & mems[j], fibers)
-        sec = _seeded_polynomial(max(d, 1), k, rng) if d else None
-        if sec is not None:
-            gen[(i, j)] = polynomial_coefficients(sec)
+        overlap = OpenSet(id=f"w{i}.{j}", members=mems[i] & mems[j])
+        d = open_set_dim(overlap.members, fibers)
+        gen[(i, j)] = overlap, _seeded_polynomial(d, k, rng)
 
     locals_: list[Section] = []
     for a in range(n):
         acc = [dict() for _ in range(k)]
         d_a = open_set_dim(mems[a], fibers)
-        for (i, j), coeffs in gen.items():
+        for (i, j), (overlap, sec) in gen.items():
             if a not in (i, j):
                 continue
             sign = 1 if a == i else -1
-            overlap = OpenSet(id=f"w{i}.{j}", members=mems[i] & mems[j])
-            sec = polynomial_section(open_set_dim(overlap.members, fibers),
-                                     k, coeffs, domain=overlap)
             ext = compose_coord(
                 sec, projection_map(fibers, cover.elements[a], overlap))
             ext_coeffs = polynomial_coefficients(ext)

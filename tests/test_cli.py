@@ -1,12 +1,17 @@
 """Command line entry points: envelopes, exit codes, reproducibility."""
 
+import io
 import json
 import re
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coversheaf import cech, graphs
 from coversheaf.cli import main
@@ -383,3 +388,63 @@ def test_wl_compare_computes_codes_once_per_graph(capsys, monkeypatch):
     capsys.readouterr()
     assert [(g.edges, k) for g, k in calls] == [
         (graphs.load_graph(C6).edges, 8), (graphs.load_graph(TWO_C3).edges, 8)]
+
+
+# Each fixture with the subcommands that read it; the mutated document
+# is appended as the last argument.
+FUZZ_COMMANDS = {
+    TRIANGLE: [["cohomology", "--cover"], ["axioms", "--cover"],
+               ["witness", "prop2.8", "--cover"],
+               ["witness", "glue", "--cover"]],
+    SUMPOOL: [["witness", "thm4.2", "--net"],
+              ["witness", "thm4.3", "--grid", "50", "--net"]],
+    SUMPOOL_NODES: [["witness", "thm4.2", "--net"],
+                    ["witness", "thm4.3", "--grid", "50", "--net"]],
+    C6: [["wl-compare", "--depth", "2", C6]],
+}
+# numbers stay small: a size read from the document is built in full
+FUZZ_VALUES = [True, "3", None, [], {}, -1, 0, 1.5, 2, 7]
+DELETE = "<delete>"
+
+
+def _json_paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+FUZZ_SITES = st.sampled_from(list(FUZZ_COMMANDS)).flatmap(
+    lambda source: st.tuples(st.just(source), st.sampled_from(
+        list(_json_paths(json.loads(Path(source).read_text()))))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(site=FUZZ_SITES, value=st.sampled_from([DELETE] + FUZZ_VALUES))
+@example(site=(TRIANGLE, ("structure",)), value=2)
+def test_mutated_documents_exit_0_1_or_2(site, value):
+    # one key deleted or one value replaced; bad input exits 2 with one
+    # error line, never 3
+    source, path = site
+    doc = json.loads(Path(source).read_text())
+    *keys, last = path
+    node = doc
+    for key in keys:
+        node = node[key]
+    if value == DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / "doc.json"
+        mutated.write_text(json.dumps(doc))
+        for command in FUZZ_COMMANDS[source]:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(command + [str(mutated)])
+            assert code in (0, 1, 2), (command, path, value, err.getvalue())
+            if code == 2:
+                assert out.getvalue() == ""
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -25,8 +25,9 @@ from coversheaf.sections import (ACTIVATIONS, Activation, Affine, Const,
                                  zero_section)
 from coversheaf.witnesses import multi_mixed_difference
 
-SUMPOOL_NODES = Path(__file__).resolve().parent.parent / "fixtures" / \
-    "sumpool_nodes.json"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SUMPOOL = FIXTURES / "sumpool.json"
+SUMPOOL_NODES = FIXTURES / "sumpool_nodes.json"
 UNIT3 = (1, 1, 1)
 U_ALL = OpenSet(id="all", members=frozenset({1, 2, 3}))
 U_12 = OpenSet(id="left", members=frozenset({1, 2}))
@@ -250,15 +251,43 @@ def test_section_checks_every_node(tmp_path, capsys):
     # a negative index does not read from the end
     with pytest.raises(ValueError, match="Coords index -1 is negative"):
         Section(2, 1, Coords((-1,)))
-    doc = json.loads(SUMPOOL_NODES.read_text())
-    doc["layers"][0]["phi"][0]["nodes"][0]["indices"] = [-1]
-    path = tmp_path / "net.json"
-    path.write_text(json.dumps(doc))
-    for claim in ("thm4.2", "thm4.3"):
-        assert main(["witness", claim, "--net", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: Coords index -1 is negative\n"
+    # the constructors read parameters as section JSON does: no
+    # truncated, boolean or string entries
+    with pytest.raises(ValueError, match="indices must be an integer, got 0.7"):
+        Coords((0.7, True))
+    with pytest.raises(ValueError, match="indices must be an integer, got True"):
+        Coords((True,))
+    assert Coords((3.0,)).indices == (3,)
+    with pytest.raises(ValueError, match="values must hold numbers, got '1.5'"):
+        Const(("1.5",))
+    with pytest.raises(ValueError, match="matrix must hold numbers, got True"):
+        Affine(((True, "2"),), ("0",), Coords((0, 1)))
+    with pytest.raises(ValueError, match="bias must hold numbers, got '0'"):
+        Affine(((1.0, 2.0),), ("0",), Coords((0, 1)))
+    with pytest.raises(ValueError, match="matrix must hold numbers, got True"):
+        affine_section([[True]])
+    # phi in the node schema, then in the {"matrix", "bias"} shorthand
+    bad_docs = [(SUMPOOL_NODES, ["nodes", 0, "indices"], [-1],
+                 "Coords index -1 is negative"),
+                (SUMPOOL_NODES, ["nodes", 1, "matrix"], [["1.0"]],
+                 "matrix must hold numbers, got '1.0'"),
+                (SUMPOOL, ["matrix"], [[True]],
+                 "matrix must hold numbers, got True"),
+                (SUMPOOL, ["matrix"], [[None]],
+                 "matrix must hold numbers, got None")]
+    for source, keys, value, message in bad_docs:
+        doc = json.loads(source.read_text())
+        node = doc["layers"][0]["phi"][0]
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        for claim in ("thm4.2", "thm4.3"):
+            assert main(["witness", claim, "--net", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
 
 DEEP = 5_000

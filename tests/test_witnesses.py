@@ -243,12 +243,28 @@ def test_glue_input_validation():
     cover = triangle_cover()
     good = [affine_section(np.ones((1, 2)), domain=el)
             for el in cover.elements]
-    with pytest.raises(ValueError):
-        glue_inclusion_exclusion(good[:2], cover)
-    bad_dim = list(good)
-    bad_dim[0] = affine_section(np.ones((1, 3)), domain=cover.elements[0])
-    with pytest.raises(ValueError):
-        glue_inclusion_exclusion(bad_dim, cover)
+    wide, narrow = list(good), list(good)
+    wide[0] = affine_section(np.ones((1, 3)), domain=cover.elements[0])
+    narrow[1] = affine_section(np.ones((1, 1)), domain=cover.elements[1])
+    # gluing and the kernel decomposition share one local-family check
+    for fn in (glue_inclusion_exclusion, cosheaf_kernel_decompose):
+        with pytest.raises(ValueError, match="one local section per cover "
+                                             "element required"):
+            fn(good[:2], cover)
+        with pytest.raises(ValueError, match="local 0 has domain dim 3, "
+                                             "expected 2"):
+            fn(wide, cover)
+        with pytest.raises(ValueError, match="local 1 has domain dim 1, "
+                                             "expected 2"):
+            fn(narrow, cover)
+    # a zero-sum family once the third coordinate of f0 is dropped: read
+    # as the constant 5 rather than rejected
+    chain = make_cover(MarkedSpace(3, (1, 1, 1)), [[1, 2], [2, 3]])
+    f0 = polynomial_section(3, 1, [{(0, 1, 0): 1, (0, 0, 1): 5}])
+    f1 = polynomial_section(2, 1, [{(1, 0): -1, (0, 0): -5}])
+    with pytest.raises(ValueError, match="local 0 has domain dim 3, "
+                                         "expected 2"):
+        cosheaf_kernel_decompose([f0, f1], chain)
 
 
 def test_glue_incompatible_pair_is_named():
