@@ -18,21 +18,20 @@ Two layer kinds exist:
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .topology import (Cover, CoverSequence, MarkedSpace, _json_int,
-                       _read_source, global_stage, make_cover,
-                       singleton_stage, structure_from_json)
-from .sections import (ACTIVATIONS, Activation, Coords, Node, Section, Sum,
-                       affine_section, evaluate, identity_section,
+from .topology import (Cover, CoverSequence, MarkedSpace, _decode, _json_int,
+                       global_stage, make_cover, singleton_stage,
+                       space_from_json, space_to_json)
+from .sections import (ACTIVATIONS, Activation, Node, Section, Sum,
+                       affine_section, constant_section, evaluate,
                        section_from_json, section_to_json, shift_section,
-                       slot_layout)
+                       slot_layout, zero_section)
 
 
 def _check_aggregation(input_cover: Cover, output_cover: Cover,
@@ -160,13 +159,11 @@ class Deviation:
 
     @classmethod
     def zero(cls, space: MarkedSpace) -> "Deviation":
-        from .sections import zero_section
         return cls(space=space, nus=tuple(
             zero_section(l, l) for l in space.fiber_dims))
 
     @classmethod
     def constants(cls, space: MarkedSpace, vectors: Sequence[Sequence[float]]) -> "Deviation":
-        from .sections import constant_section
         return cls(space=space, nus=tuple(
             constant_section(l, v) for l, v in zip(space.fiber_dims, vectors)))
 
@@ -255,10 +252,10 @@ class FactorsCheckResult(NamedTuple):
     max_deviation: float
 
 
-def layer_input_dims(layer: Layer) -> list[int]:
-    if isinstance(layer, InclusionLayer):
-        return [s.domain_dim for s in layer.phi]
-    raise ValueError("input dims are only declared for inclusion layers")
+def _input_offsets(layer: InclusionLayer) -> list[int]:
+    """Where each input's block starts in the concatenated input space,
+    then the total width."""
+    return [0, *itertools.accumulate(s.domain_dim for s in layer.phi)]
 
 
 def composed_layer_sections(layer: InclusionLayer) -> list[Section]:
@@ -269,14 +266,13 @@ def composed_layer_sections(layer: InclusionLayer) -> list[Section]:
     alpha block).  This is an independent evaluation path from
     ``layer.apply``: it goes through DAG composition.
     """
-    dims = layer_input_dims(layer)
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    total = int(offsets[-1])
+    offsets = _input_offsets(layer)
+    total = offsets[-1]
     out = []
     for atuple in layer.aggregation:
         parts: list[Node] = []
         for a in atuple:
-            shifted = shift_section(layer.phi[a], int(offsets[a]), total)
+            shifted = shift_section(layer.phi[a], offsets[a], total)
             parts.append(shifted.body)
         body: Node = parts[0] if len(parts) == 1 else Sum(tuple(parts))
         if layer.activation != "identity":
@@ -298,13 +294,12 @@ def factors_check(layer: Layer, n_samples: int = 100, tol: float = 1e-9,
         raise TypeError("factors_check applies to inclusion layers only")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    dims = layer_input_dims(layer)
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    offsets = _input_offsets(layer)
     sections = composed_layer_sections(layer)
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((n_samples, int(offsets[-1])))
-    values = [samples[:, int(offsets[a]):int(offsets[a + 1])]
-              for a in range(len(dims))]
+    samples = rng.standard_normal((n_samples, offsets[-1]))
+    values = [samples[:, start:stop]
+              for start, stop in zip(offsets, offsets[1:])]
     direct = layer.apply(values)
     dev = 0.0
     for b, sec in enumerate(sections):
@@ -317,18 +312,12 @@ def factors_check(layer: Layer, n_samples: int = 100, tol: float = 1e-9,
 # builders
 
 
-def _grid_space(n: int, channels: int = 3) -> MarkedSpace:
-    return MarkedSpace(n_points=n * n, fiber_dims=(channels,) * (n * n),
-                       structure=("grid", n, n))
-
-
 def _block_patches(shape: tuple[int, int], block: int,
-                   cell_points: list[list[int]]) -> tuple[list[list[int]], tuple[int, int], list[list[int]]]:
-    """Group a patch grid into block x block superpatches.
+                   patches: Sequence[frozenset[int]]
+                   ) -> tuple[list[list[int]], tuple[int, int], list[list[int]]]:
+    """Group a row-major patch grid into block x block superpatches.
 
-    Returns (patch memberships, new shape, aggregation index lists).
-    ``cell_points[i]`` lists the marked points of current patch i in
-    row-major order of the current patch grid.
+    Returns (superpatch memberships, new shape, aggregation index lists).
     """
     rows, cols = shape
     if rows % block or cols % block:
@@ -343,7 +332,7 @@ def _block_patches(shape: tuple[int, int], block: int,
             agg.append(idxs)
             pts: list[int] = []
             for i in idxs:
-                pts.extend(cell_points[i])
+                pts.extend(patches[i])
             members.append(sorted(pts))
     return members, (nr, nc), agg
 
@@ -351,17 +340,21 @@ def _block_patches(shape: tuple[int, int], block: int,
 def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Network:
     """A convolution/pooling network on an n x n grid of RGB cells.
 
-    ``plan`` is a list of stage dicts, processed in order:
+    ``plan`` is a list of stage dicts, processed in order.  Three stage
+    kinds come before the head:
 
-    * {"kind": "conv", "channels": c, "activation": name}: weight-shared
-      per-patch affine filter; the cover is unchanged (one output patch
-      per input patch).
-    * {"kind": "pool", "mode": "sum"|"mean"|"max", "block": 2,
-      "channels": c, "activation": name}: block pooling.  sum/mean
-      pooling (optionally fused with a shared filter) is an
-      InclusionLayer; max pooling is a GeneralLayer.
-    * {"kind": "fc", "out_dim": k, "activation": name}: fully connected
-      head onto the global stage (must be last).
+    * {"kind": "conv", "channels": c, "activation": name}: a shared
+      per-patch affine filter (InclusionLayer, default relu); the cover
+      is unchanged, one output patch per input patch.
+    * {"kind": "pool", "mode": "sum", "block": 2, "channels": c,
+      "activation": name}: block sum pooling fused with a shared affine
+      filter (InclusionLayer, default identity).
+    * {"kind": "pool", "mode": "max", "block": 2}: coordinatewise block
+      max pooling (GeneralLayer with Reducer("max")).
+
+    ``channels`` defaults to 4.  The head {"kind": "fc", "out_dim": k,
+    "activation": name} maps onto the global stage and must be last.
+    Any other stage kind or pool mode raises ValueError.
 
     The default plan is one fused sum-pool stage with relu and a
     sigmoid fully connected head.
@@ -375,69 +368,42 @@ def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Netw
     if not plan or plan[-1]["kind"] != "fc":
         raise ValueError("plan must end with a fully connected stage")
     rng = np.random.default_rng(seed)
-    space = _grid_space(n)
-    channels = 3
+    space = MarkedSpace(n_points=n * n, fiber_dims=(3,) * (n * n),
+                        structure=("grid", n, n))
     shape = (n, n)
-    cell_points = [[p] for p in space.points]
-    stages: list[Cover] = [singleton_stage(space)]
+    cur_cover = singleton_stage(space)
+    stages: list[Cover] = [cur_cover]
     layers: list[Layer] = []
-    cur_cover = stages[0]
-    cur_dim_per = [channels] * (n * n)
-
-    def shared_filter(in_dim: int, out_dim: int) -> Section:
-        w = rng.standard_normal((out_dim, in_dim)) / math.sqrt(in_dim)
-        return affine_section(w)
-
+    dim = 3
     for stage in plan[:-1]:
         kind = stage["kind"]
         if kind == "conv":
-            c = int(stage.get("channels", 4))
-            act = stage.get("activation", "relu")
-            filt = stage.get("filter")
-            in_dim = cur_dim_per[0]
-            phi = (affine_section(filt) if filt is not None
-                   else shared_filter(in_dim, c))
-            new_cover = make_cover(space, [sorted(m) for m in
-                                           (el.members for el in cur_cover.elements)])
-            layer = InclusionLayer(
-                input_cover=cur_cover, output_cover=new_cover,
-                aggregation=tuple((i,) for i in range(len(cur_cover.elements))),
-                phi=(phi,) * len(cur_cover.elements),
-                activation=act, out_dim=phi.codomain_dim)
-            cur_dim_per = [phi.codomain_dim] * len(new_cover.elements)
+            mode = None
+            new_cover = make_cover(space, cur_cover.memberships())
+            agg = [(i,) for i in range(len(cur_cover.elements))]
         elif kind == "pool":
-            block = int(stage.get("block", 2))
             mode = stage["mode"]
-            members, shape, agg = _block_patches(shape, block, cell_points)
-            cell_points = members
+            if mode not in ("sum", "max"):
+                raise ValueError(f"unknown pool mode {mode!r}")
+            members, shape, agg = _block_patches(
+                shape, int(stage.get("block", 2)), cur_cover.memberships())
             new_cover = make_cover(space, members)
-            in_dim = cur_dim_per[0]
-            if mode == "max":
-                layer = GeneralLayer(
-                    input_cover=cur_cover, output_cover=new_cover,
-                    aggregation=tuple(tuple(a) for a in agg),
-                    op=Reducer("max"), out_dim=in_dim)
-                cur_dim_per = [in_dim] * len(new_cover.elements)
-            else:
-                c = stage.get("channels")
-                act = stage.get("activation", "identity")
-                if c is None:
-                    phi = identity_section(in_dim)
-                    if mode == "mean":
-                        phi = affine_section(np.eye(in_dim) / (block * block))
-                else:
-                    phi = shared_filter(in_dim, int(c))
-                    if mode == "mean":
-                        phi = affine_section(
-                            np.asarray(phi.body.matrix) / (block * block))
-                layer = InclusionLayer(
-                    input_cover=cur_cover, output_cover=new_cover,
-                    aggregation=tuple(tuple(a) for a in agg),
-                    phi=(phi,) * len(cur_cover.elements),
-                    activation=act, out_dim=phi.codomain_dim)
-                cur_dim_per = [phi.codomain_dim] * len(new_cover.elements)
         else:
             raise ValueError(f"unknown plan stage kind {kind!r}")
+        if mode == "max":
+            layer = GeneralLayer(
+                input_cover=cur_cover, output_cover=new_cover,
+                aggregation=agg, op=Reducer("max"), out_dim=dim)
+        else:
+            c = int(stage.get("channels", 4))
+            phi = affine_section(rng.standard_normal((c, dim)) / math.sqrt(dim))
+            layer = InclusionLayer(
+                input_cover=cur_cover, output_cover=new_cover,
+                aggregation=agg, phi=(phi,) * len(cur_cover.elements),
+                activation=stage.get(
+                    "activation", "relu" if kind == "conv" else "identity"),
+                out_dim=c)
+            dim = c
         stages.append(new_cover)
         layers.append(layer)
         cur_cover = new_cover
@@ -449,7 +415,7 @@ def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Netw
     n_in = len(cur_cover.elements)
     phis = []
     for a in range(n_in):
-        w = rng.standard_normal((out_dim, cur_dim_per[a])) / math.sqrt(cur_dim_per[a])
+        w = rng.standard_normal((out_dim, dim)) / math.sqrt(dim)
         b = rng.standard_normal(out_dim) if a == 0 else np.zeros(out_dim)
         phis.append(affine_section(w, b))
     layers.append(InclusionLayer(
@@ -651,10 +617,6 @@ def build_attention(n_tokens: int, d_model: int, heads: int = 1,
 
 
 def network_to_json(net: Network) -> dict:
-    space = net.space
-    struct: dict = {"kind": space.structure[0]}
-    if space.structure[0] == "grid":
-        struct.update(rows=space.structure[1], cols=space.structure[2])
     layers = []
     for layer in net.layers:
         entry: dict = {"aggregation": [list(a) for a in layer.aggregation],
@@ -671,9 +633,7 @@ def network_to_json(net: Network) -> dict:
         layers.append(entry)
     return {
         "schema": 1,
-        "space": {"n_points": space.n_points,
-                  "fiber_dims": list(space.fiber_dims),
-                  "structure": struct},
+        "space": space_to_json(net.space),
         "stages": [[sorted(el.members) for el in c.elements]
                    for c in net.sequence.stages],
         "layers": layers,
@@ -682,17 +642,9 @@ def network_to_json(net: Network) -> dict:
 
 def network_from_json(source) -> Network:
     """Load a network; accepts a path, JSON text or a decoded dict."""
-    if isinstance(source, (str, Path)):
-        obj = json.loads(_read_source(source))
-    else:
-        obj = source
+    obj = _decode(source)
     try:
-        sp = obj["space"]
-        space = MarkedSpace(
-            n_points=_json_int(sp["n_points"], "n_points"),
-            fiber_dims=tuple(_json_int(x, "fiber_dims")
-                             for x in sp["fiber_dims"]),
-            structure=structure_from_json(sp.get("structure", {"kind": "abstract"})))
+        space = space_from_json(obj["space"])
         covers = [make_cover(space, [[_json_int(p, "stages") for p in m]
                                      for m in fam])
                   for fam in obj["stages"]]

@@ -48,6 +48,9 @@ class MarkedSpace:
             raise ValueError(f"unknown structure kind {self.structure[0]!r}")
         if self.structure[0] == "grid":
             _, rows, cols = self.structure
+            if rows < 1 or cols < 1:
+                raise ValueError(
+                    f"grid rows and cols must be at least 1, got {rows} x {cols}")
             if rows * cols != self.n_points:
                 raise ValueError("grid shape does not match n_points")
 
@@ -237,12 +240,6 @@ def proper_unions(targets: Sequence[frozenset[int]],
     return out
 
 
-def has_proper_union(target: frozenset[int],
-                     prev: Sequence[frozenset[int]]) -> bool:
-    """Is ``target`` the union of a proper subfamily of ``prev``?"""
-    return proper_unions([target], prev)[0]
-
-
 def check_na_axioms(seq: CoverSequence) -> AxiomReport:
     """Check the four neighborhood-aggregation axioms per stage pair.
 
@@ -257,8 +254,6 @@ def check_na_axioms(seq: CoverSequence) -> AxiomReport:
     The final pair (into the global stage) is included; it can never
     satisfy locality.
     """
-    if len(seq.stages) < 2:
-        raise ValueError("sequence shorter than 2 stages")
     points = frozenset(seq.space.points)
     out = []
     for n in range(1, len(seq.stages)):
@@ -331,6 +326,32 @@ def structure_from_json(obj: dict) -> tuple:
     raise ValueError(f"unknown structure kind {kind!r}")
 
 
+def space_from_json(obj) -> MarkedSpace:
+    """A marked space from its JSON object: ``n_points``, ``fiber_dims``
+    and an optional ``structure`` (abstract when absent)."""
+    if not isinstance(obj, dict):
+        raise ValueError("space document must be a JSON object")
+    try:
+        n = _json_int(obj["n_points"], "n_points")
+        fibers = tuple(_json_int(x, "fiber_dims") for x in obj["fiber_dims"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"malformed space document: {e}") from e
+    structure = structure_from_json(obj.get("structure", {"kind": "abstract"}))
+    return MarkedSpace(n_points=n, fiber_dims=fibers, structure=structure)
+
+
+def space_to_json(space: MarkedSpace) -> dict:
+    """The JSON object ``space_from_json`` reads back as ``space``."""
+    kind = space.structure[0]
+    struct: dict = {"kind": kind}
+    if kind == "grid":
+        struct.update(rows=space.structure[1], cols=space.structure[2])
+    elif kind == "graph":
+        struct["edges"] = [list(e) for e in space.structure[1]]
+    return {"n_points": space.n_points, "fiber_dims": list(space.fiber_dims),
+            "structure": struct}
+
+
 def _read_source(source) -> str:
     """Return file contents when ``source`` is an existing path, else the
     text itself.  Inline documents can exceed the filesystem name limit,
@@ -341,6 +362,13 @@ def _read_source(source) -> str:
     except OSError:
         is_file = False
     return p.read_text() if is_file else str(source)
+
+
+def _decode(source):
+    """A JSON document given as a path, as JSON text or already decoded."""
+    if isinstance(source, (str, Path)):
+        return json.loads(_read_source(source))
+    return source
 
 
 def load_space_document(source) -> tuple[MarkedSpace, list[Cover]]:
@@ -355,20 +383,8 @@ def load_space_document(source) -> tuple[MarkedSpace, list[Cover]]:
     Point indices are 1-based.  ``source`` may be a path, a JSON string
     or an already-decoded dict.
     """
-    if isinstance(source, (str, Path)):
-        text = _read_source(source)
-        obj = json.loads(text)
-    else:
-        obj = source
-    if not isinstance(obj, dict):
-        raise ValueError("space document must be a JSON object")
-    try:
-        n = _json_int(obj["n_points"], "n_points")
-        fibers = tuple(_json_int(x, "fiber_dims") for x in obj["fiber_dims"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"malformed space document: {e}") from e
-    structure = structure_from_json(obj.get("structure", {"kind": "abstract"}))
-    space = MarkedSpace(n_points=n, fiber_dims=fibers, structure=structure)
+    obj = _decode(source)
+    space = space_from_json(obj)
     covers = []
     for fam in obj.get("covers", []):
         covers.append(make_cover(

@@ -495,7 +495,9 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
                 left[(a, key, s)] = c
 
     # each monomial's telescoping prefix sums, by consecutive pair of
-    # the elements able to carry it
+    # the elements able to carry it; every stored vector is nonzero and
+    # its element carries the monomial, so a zero sum means at least
+    # two such elements
     parts: dict[tuple[int, int], list[tuple[tuple, list[Fraction]]]] = {}
     for key, vecs in table.items():
         if any(sum(col) for col in zip(*vecs.values())):
@@ -503,10 +505,6 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
                 "extended locals do not sum to zero", monomial=key)
         support = {p for (p, _off), _e in key}
         allowed = [a for a, m in enumerate(mems) if support <= m]
-        if len(allowed) < 2:
-            raise KernelPremiseError(
-                "a monomial is supported outside every pairwise overlap",
-                monomial=key)
         prefix = [Fraction(0)] * k
         for a, b in zip(allowed, allowed[1:]):
             for s, c in enumerate(vecs.get(a, ())):

@@ -307,6 +307,18 @@ def test_non_integral_json_numbers_exit_2(capsys, tmp_path, command, doc,
     assert f"{field} must be an integer" in err
 
 
+def test_grid_with_rows_or_cols_below_1_exits_2(capsys, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_cover_doc(
+        structure={"kind": "grid", "rows": -1, "cols": -3})))
+    code = main(["cohomology", "--cover", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: grid rows and cols") and "\n" not in err
+
+
 def test_attack_on_a_1500_deep_phi_network(capsys, tmp_path):
     # phi reads its token through 1,500 nested tanh nodes
     depth = 1_500

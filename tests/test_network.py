@@ -210,21 +210,38 @@ def test_zero_qk_attention_is_uniform_average():
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def _graph_net() -> Network:
+    sp = MarkedSpace(n_points=2, fiber_dims=(1, 1), structure=("graph", ((1, 2),)))
+    seq = CoverSequence(space=sp, stages=(singleton_stage(sp), global_stage(sp)))
+    layer = InclusionLayer(
+        input_cover=seq.stages[0], output_cover=seq.stages[1],
+        aggregation=((0, 1),),
+        phi=(affine_section([[1.0]]), affine_section([[2.0]])),
+        activation="identity", out_dim=1)
+    return Network(space=sp, sequence=seq, layers=(layer,))
+
+
 def test_network_json_round_trip():
-    net = build_sequential(4, "rnn", seed=6)
-    doc = network_to_json(net)
-    clone = network_from_json(json.dumps(doc))
-    x = np.random.default_rng(0).standard_normal(net.input_dim)
-    assert np.array_equal(forward(net, x).output, forward(clone, x).output)
+    nets = [build_cnn(4, seed=3),
+            build_cnn(2, plan=[{"kind": "pool", "mode": "max", "block": 2},
+                               {"kind": "fc", "out_dim": 2,
+                                "activation": "tanh"}]),
+            build_sequential(4, "rnn", seed=6), _graph_net()]
+    for net in nets:
+        clone = network_from_json(json.dumps(network_to_json(net)))
+        # the space round-trips with its structure, graph edges included
+        assert clone.space == net.space
+        assert [c.memberships() for c in clone.sequence.stages] == \
+            [c.memberships() for c in net.sequence.stages]
+        x = np.random.default_rng(0).standard_normal(net.input_dim)
+        assert np.array_equal(forward(net, x).output, forward(clone, x).output)
 
 
-def test_reducer_json_round_trip():
-    net = build_cnn(2, plan=[{"kind": "pool", "mode": "max", "block": 2},
-                             {"kind": "fc", "out_dim": 2,
-                              "activation": "tanh"}])
-    clone = network_from_json(network_to_json(net))
-    x = np.random.default_rng(1).standard_normal(net.input_dim)
-    assert np.array_equal(forward(net, x).output, forward(clone, x).output)
+@pytest.mark.parametrize("mode", ["median", "mean"])
+def test_cnn_rejects_unknown_pool_modes(mode):
+    with pytest.raises(ValueError, match=f"unknown pool mode {mode!r}"):
+        build_cnn(4, plan=[{"kind": "pool", "mode": mode, "block": 2},
+                           {"kind": "fc", "out_dim": 1}])
 
 
 def test_network_json_errors():

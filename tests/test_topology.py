@@ -7,8 +7,8 @@ import pytest
 
 from coversheaf.topology import (CoverSequence, MarkedSpace, OpenSet,
                                  check_na_axioms, global_stage,
-                                 has_proper_union, load_space_document,
-                                 make_cover, proper_unions, singleton_stage)
+                                 load_space_document, make_cover,
+                                 proper_unions, singleton_stage)
 from coversheaf.network import build_cnn, build_rnn_cover, build_sequential
 from test_acceptance import sweep_covers
 
@@ -33,6 +33,10 @@ def test_marked_space_validation():
         MarkedSpace(n_points=2, fiber_dims=(1, 0))
     with pytest.raises(ValueError):
         MarkedSpace(n_points=4, fiber_dims=(1,) * 4, structure=("grid", 3, 2))
+    # a grid whose rows and cols multiply to n_points is still no grid
+    # unless both are at least 1
+    with pytest.raises(ValueError, match="at least 1, got -1 x -3"):
+        MarkedSpace(n_points=3, fiber_dims=(1,) * 3, structure=("grid", -1, -3))
 
 
 def test_open_set_is_one_based():
@@ -71,13 +75,13 @@ def test_cover_sequence_endpoint_validation():
 def test_has_proper_union():
     f = frozenset
     # redundant member makes the full candidate family proper
-    assert has_proper_union(f({1, 2, 3}),
-                            [f({1, 2}), f({2, 3}), f({1, 3})])
+    assert proper_unions([f({1, 2, 3})],
+                         [f({1, 2}), f({2, 3}), f({1, 3})])[0]
     # unused extra element suffices too
-    assert has_proper_union(f({1, 2}), [f({1}), f({2}), f({3})])
+    assert proper_unions([f({1, 2})], [f({1}), f({2}), f({3})])[0]
     # an exact partition admits no proper covering subfamily
-    assert not has_proper_union(f({1, 2, 3}), [f({1, 2}), f({3})])
-    assert not has_proper_union(f({1, 2}), [f({1}), f({3})])
+    assert not proper_unions([f({1, 2, 3})], [f({1, 2}), f({3})])[0]
+    assert not proper_unions([f({1, 2})], [f({1}), f({3})])[0]
 
 
 def scan_proper_union(target, prev) -> bool:
