@@ -221,20 +221,27 @@ def _graph_net() -> Network:
     return Network(space=sp, sequence=seq, layers=(layer,))
 
 
+def _assert_json_round_trip(net: Network) -> None:
+    clone = network_from_json(json.dumps(network_to_json(net)))
+    # the space round-trips with its structure, graph edges included
+    assert clone.space == net.space
+    assert [c.memberships() for c in clone.sequence.stages] == \
+        [c.memberships() for c in net.sequence.stages]
+    x = np.random.default_rng(0).standard_normal(net.input_dim)
+    assert np.array_equal(forward(net, x).output, forward(clone, x).output)
+
+
 def test_network_json_round_trip():
-    nets = [build_cnn(4, seed=3),
-            build_cnn(2, plan=[{"kind": "pool", "mode": "max", "block": 2},
-                               {"kind": "fc", "out_dim": 2,
-                                "activation": "tanh"}]),
-            build_sequential(4, "rnn", seed=6), _graph_net()]
-    for net in nets:
-        clone = network_from_json(json.dumps(network_to_json(net)))
-        # the space round-trips with its structure, graph edges included
-        assert clone.space == net.space
-        assert [c.memberships() for c in clone.sequence.stages] == \
-            [c.memberships() for c in net.sequence.stages]
-        x = np.random.default_rng(0).standard_normal(net.input_dim)
-        assert np.array_equal(forward(net, x).output, forward(clone, x).output)
+    for net in [build_cnn(4, seed=3), build_sequential(4, "rnn", seed=6),
+                _graph_net()]:
+        _assert_json_round_trip(net)
+
+
+def test_reducer_json_round_trip():
+    _assert_json_round_trip(
+        build_cnn(2, plan=[{"kind": "pool", "mode": "max", "block": 2},
+                           {"kind": "fc", "out_dim": 2,
+                            "activation": "tanh"}]))
 
 
 @pytest.mark.parametrize("mode", ["median", "mean"])
