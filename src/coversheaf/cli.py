@@ -221,26 +221,20 @@ def _cmd_demo(args) -> tuple[list[dict], dict]:
     config = {"name": args.name, "seed": seed, "tol": tol,
               "samples": samples, "p": args.p, "delta": args.delta,
               "grid": args.grid}
-    if args.name == "cnn":
-        net = build_cnn(4, seed=seed)
+    if args.name in ("cnn", "rnn"):
+        # the rnn's layer 0 maps 4 singletons to 4 prefixes: not strictly
+        # shrinking, so its attack targets the head layer.
+        net, attacked = ((build_cnn(4, seed=seed), 0) if args.name == "cnn"
+                         else (build_sequential(4, "rnn", seed=seed), 1))
         reports = [_axioms_entry(net.sequence)]
         reports += _factors_entries(net, samples, tol, seed)
-        reports.append(adversarial_attack(net, 0, p=args.p, delta=args.delta,
-                                          seed=seed, tol=tol)[1].to_json())
+        reports.append(adversarial_attack(net, attacked, p=args.p,
+                                          delta=args.delta, seed=seed,
+                                          tol=tol)[1].to_json())
         reports.append(dataset_dependency(net, grid_points=args.grid,
                                           tol=1e-6, seed=seed).to_json())
-        reports.append(pooled_collision(seed=seed).to_json())
-        return reports, config
-    if args.name == "rnn":
-        net = build_sequential(4, "rnn", seed=seed)
-        reports = [_axioms_entry(net.sequence)]
-        reports += _factors_entries(net, samples, tol, seed)
-        # layer 0 maps 4 singletons to 4 prefixes: not strictly shrinking,
-        # so the attack targets the head layer.
-        reports.append(adversarial_attack(net, 1, p=args.p, delta=args.delta,
-                                          seed=seed, tol=tol)[1].to_json())
-        reports.append(dataset_dependency(net, grid_points=args.grid,
-                                          tol=1e-6, seed=seed).to_json())
+        if args.name == "cnn":
+            reports.append(pooled_collision(seed=seed).to_json())
         return reports, config
     # args.name == "attention"
     net = build_attention(3, 4, heads=2, head_dim=2, seed=seed)

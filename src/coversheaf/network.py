@@ -34,40 +34,46 @@ from .sections import (ACTIVATIONS, Activation, Node, Section, Sum,
                        slot_layout, zero_section)
 
 
-def _check_aggregation(input_cover: Cover, output_cover: Cover,
-                       aggregation: tuple[tuple[int, ...], ...]) -> None:
-    if len(aggregation) != len(output_cover.elements):
-        raise ValueError("one aggregation list per output element required")
-    for b, atuple in enumerate(aggregation):
-        if not atuple:
-            raise ValueError(f"output element {b} aggregates no inputs")
-        if len(set(atuple)) != len(atuple):
-            raise ValueError(f"output element {b} aggregates an input twice")
-        target = output_cover.elements[b].members
-        for a in atuple:
-            if not 0 <= a < len(input_cover.elements):
-                raise ValueError(f"aggregation references unknown input {a}")
-            if not input_cover.elements[a].members <= target:
-                raise ValueError(
-                    f"input element {a} is not contained in output element {b}")
-
-
 @dataclass(frozen=True)
-class InclusionLayer:
-    """out_beta = activation(sum over alpha in aggregation[beta] of
-    phi[alpha](v_alpha))."""
+class _StagePair:
+    """What every layer carries: its stage pair, and per output element
+    the input elements it aggregates, each contained in the output."""
 
     input_cover: Cover
     output_cover: Cover
     aggregation: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        agg = tuple(tuple(a) for a in self.aggregation)
+        object.__setattr__(self, "aggregation", agg)
+        if len(agg) != len(self.output_cover.elements):
+            raise ValueError("one aggregation list per output element required")
+        inputs = self.input_cover.elements
+        for b, atuple in enumerate(agg):
+            if not atuple:
+                raise ValueError(f"output element {b} aggregates no inputs")
+            if len(set(atuple)) != len(atuple):
+                raise ValueError(f"output element {b} aggregates an input twice")
+            target = self.output_cover.elements[b].members
+            for a in atuple:
+                if not 0 <= a < len(inputs):
+                    raise ValueError(f"aggregation references unknown input {a}")
+                if not inputs[a].members <= target:
+                    raise ValueError(
+                        f"input element {a} is not contained in output element {b}")
+
+
+@dataclass(frozen=True)
+class InclusionLayer(_StagePair):
+    """out_beta = activation(sum over alpha in aggregation[beta] of
+    phi[alpha](v_alpha))."""
+
     phi: tuple[Section, ...]
     activation: str
     out_dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "aggregation",
-                           tuple(tuple(a) for a in self.aggregation))
-        _check_aggregation(self.input_cover, self.output_cover, self.aggregation)
+        super().__post_init__()
         if len(self.phi) != len(self.input_cover.elements):
             raise ValueError("one phi per input element required")
         if self.activation not in ACTIVATIONS:
@@ -80,27 +86,19 @@ class InclusionLayer:
               pre: list | None = None) -> list[np.ndarray]:
         """Output values of every output element.
 
-        With a list ``pre`` (one None per input element), also keep
-        each input's phi_alpha(v_alpha) in it, summing the kept value;
-        an input no output aggregates is evaluated at the end.
+        With a list ``pre`` (empty), first append every input's
+        phi_alpha(v_alpha) to it, then sum the outputs from those values.
         """
         fn = ACTIVATIONS[self.activation].fn
+        if pre is not None:
+            pre.extend(evaluate(s, v) for s, v in zip(self.phi, values))
         out = []
         for atuple in self.aggregation:
             acc = np.zeros(self.out_dim)
             for a in atuple:
-                if pre is None:
-                    term = evaluate(self.phi[a], values[a])
-                elif pre[a] is None:
-                    term = pre[a] = evaluate(self.phi[a], values[a])
-                else:
-                    term = pre[a]
-                acc = acc + term
+                acc = acc + (evaluate(self.phi[a], values[a]) if pre is None
+                             else pre[a])
             out.append(fn(acc))
-        if pre is not None:
-            for a, v in enumerate(pre):
-                if v is None:
-                    pre[a] = evaluate(self.phi[a], values[a])
         return out
 
 
@@ -120,19 +118,11 @@ class Reducer:
 
 
 @dataclass(frozen=True)
-class GeneralLayer:
+class GeneralLayer(_StagePair):
     """out_beta = op(values of aggregation[beta]), with no imposed shape."""
 
-    input_cover: Cover
-    output_cover: Cover
-    aggregation: tuple[tuple[int, ...], ...]
     op: Callable[[Sequence[np.ndarray]], np.ndarray]
     out_dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "aggregation",
-                           tuple(tuple(a) for a in self.aggregation))
-        _check_aggregation(self.input_cover, self.output_cover, self.aggregation)
 
     def apply(self, values: Sequence[np.ndarray]) -> list[np.ndarray]:
         return [np.asarray(self.op([values[a] for a in atuple]), dtype=float)
@@ -181,12 +171,11 @@ class Network:
         if len(self.layers) != len(stages) - 1:
             raise ValueError("need exactly one layer per stage pair")
         for i, layer in enumerate(self.layers):
-            if layer.input_cover is not stages[i] and \
-                    layer.input_cover.memberships() != stages[i].memberships():
-                raise ValueError(f"layer {i} input cover mismatch")
-            if layer.output_cover is not stages[i + 1] and \
-                    layer.output_cover.memberships() != stages[i + 1].memberships():
-                raise ValueError(f"layer {i} output cover mismatch")
+            for side, cover, stage in (("input", layer.input_cover, stages[i]),
+                                       ("output", layer.output_cover,
+                                        stages[i + 1])):
+                if cover is not stage and cover.memberships() != stage.memberships():
+                    raise ValueError(f"layer {i} {side} cover mismatch")
 
     @property
     def out_dim(self) -> int:
@@ -235,7 +224,7 @@ def forward(net: Network, x, deviation: Deviation | None = None,
     pre: list[tuple[np.ndarray, ...] | None] = []
     for layer in net.layers:
         if trace and isinstance(layer, InclusionLayer):
-            kept: list = [None] * len(layer.phi)
+            kept: list = []
             values = layer.apply(values, kept)
             pre.append(tuple(kept))
         else:
@@ -330,11 +319,32 @@ def _block_patches(shape: tuple[int, int], block: int,
             idxs = [(br * block + r) * cols + (bc * block + c)
                     for r in range(block) for c in range(block)]
             agg.append(idxs)
-            pts: list[int] = []
-            for i in idxs:
-                pts.extend(patches[i])
-            members.append(sorted(pts))
+            members.append(sorted(p for i in idxs for p in patches[i]))
     return members, (nr, nc), agg
+
+
+def _at_least_1(field: str, value) -> int:
+    value = int(value)
+    if value < 1:
+        raise ValueError(f"{field} must be at least 1, got {value}")
+    return value
+
+
+def _dense_head(rng: np.random.Generator, input_cover: Cover, output_cover: Cover,
+                in_dim: int, out_dim, activation: str) -> InclusionLayer:
+    """The fully connected layer summing every input element into the
+    output: one affine map per input, drawn weights then bias, with a
+    bias on the first input only."""
+    out_dim = _at_least_1("out_dim", out_dim)
+    phis = []
+    for a in range(len(input_cover.elements)):
+        w = rng.standard_normal((out_dim, in_dim)) / math.sqrt(in_dim)
+        b = rng.standard_normal(out_dim) if a == 0 else np.zeros(out_dim)
+        phis.append(affine_section(w, b))
+    return InclusionLayer(
+        input_cover=input_cover, output_cover=output_cover,
+        aggregation=(tuple(range(len(phis))),), phi=tuple(phis),
+        activation=activation, out_dim=out_dim)
 
 
 def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Network:
@@ -354,7 +364,8 @@ def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Netw
 
     ``channels`` defaults to 4.  The head {"kind": "fc", "out_dim": k,
     "activation": name} maps onto the global stage and must be last.
-    Any other stage kind or pool mode raises ValueError.
+    Any other stage kind or pool mode, and a ``block``, ``channels`` or
+    ``out_dim`` below 1, raises ValueError.
 
     The default plan is one fused sum-pool stage with relu and a
     sigmoid fully connected head.
@@ -371,12 +382,11 @@ def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Netw
     space = MarkedSpace(n_points=n * n, fiber_dims=(3,) * (n * n),
                         structure=("grid", n, n))
     shape = (n, n)
-    cur_cover = singleton_stage(space)
-    stages: list[Cover] = [cur_cover]
+    stages: list[Cover] = [singleton_stage(space)]
     layers: list[Layer] = []
     dim = 3
     for stage in plan[:-1]:
-        kind = stage["kind"]
+        cur_cover, kind = stages[-1], stage["kind"]
         if kind == "conv":
             mode = None
             new_cover = make_cover(space, cur_cover.memberships())
@@ -386,7 +396,8 @@ def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Netw
             if mode not in ("sum", "max"):
                 raise ValueError(f"unknown pool mode {mode!r}")
             members, shape, agg = _block_patches(
-                shape, int(stage.get("block", 2)), cur_cover.memberships())
+                shape, _at_least_1("block", stage.get("block", 2)),
+                cur_cover.memberships())
             new_cover = make_cover(space, members)
         else:
             raise ValueError(f"unknown plan stage kind {kind!r}")
@@ -395,7 +406,7 @@ def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Netw
                 input_cover=cur_cover, output_cover=new_cover,
                 aggregation=agg, op=Reducer("max"), out_dim=dim)
         else:
-            c = int(stage.get("channels", 4))
+            c = _at_least_1("channels", stage.get("channels", 4))
             phi = affine_section(rng.standard_normal((c, dim)) / math.sqrt(dim))
             layer = InclusionLayer(
                 input_cover=cur_cover, output_cover=new_cover,
@@ -406,23 +417,12 @@ def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Netw
             dim = c
         stages.append(new_cover)
         layers.append(layer)
-        cur_cover = new_cover
 
     head = plan[-1]
-    out_dim = int(head.get("out_dim", 2))
-    act = head.get("activation", "sigmoid")
-    gstage = global_stage(space)
-    n_in = len(cur_cover.elements)
-    phis = []
-    for a in range(n_in):
-        w = rng.standard_normal((out_dim, dim)) / math.sqrt(dim)
-        b = rng.standard_normal(out_dim) if a == 0 else np.zeros(out_dim)
-        phis.append(affine_section(w, b))
-    layers.append(InclusionLayer(
-        input_cover=cur_cover, output_cover=gstage,
-        aggregation=(tuple(range(n_in)),), phi=tuple(phis),
-        activation=act, out_dim=out_dim))
-    stages.append(gstage)
+    layers.append(_dense_head(rng, stages[-1], global_stage(space), dim,
+                              head.get("out_dim", 2),
+                              head.get("activation", "sigmoid")))
+    stages.append(layers[-1].output_cover)
     return Network(space=space,
                    sequence=CoverSequence(space=space, stages=tuple(stages)),
                    layers=tuple(layers))
@@ -456,8 +456,10 @@ def build_sequential(n: int, kind: str = "rnn", window: int = 2,
 
     Stage-1 elements (prefixes or sliding windows) aggregate their
     member tokens through per-token affine maps; the head sums every
-    stage-1 element into the global stage.
+    stage-1 element into the global stage.  A ``hidden`` or ``out_dim``
+    below 1 raises ValueError.
     """
+    hidden = _at_least_1("hidden", hidden)
     seq = build_rnn_cover(n, kind, window=window)
     rng = np.random.default_rng(seed)
     s0, s1, s2 = seq.stages
@@ -467,15 +469,7 @@ def build_sequential(n: int, kind: str = "rnn", window: int = 2,
     agg1 = tuple(tuple(i for i in range(n) if (i + 1) in m) for m in mems1)
     layer0 = InclusionLayer(input_cover=s0, output_cover=s1, aggregation=agg1,
                             phi=phi0, activation="relu", out_dim=hidden)
-    phi1 = []
-    for a in range(len(mems1)):
-        w = rng.standard_normal((out_dim, hidden)) / math.sqrt(hidden)
-        b = rng.standard_normal(out_dim) if a == 0 else np.zeros(out_dim)
-        phi1.append(affine_section(w, b))
-    layer1 = InclusionLayer(input_cover=s1, output_cover=s2,
-                            aggregation=(tuple(range(len(mems1))),),
-                            phi=tuple(phi1), activation=activation,
-                            out_dim=out_dim)
+    layer1 = _dense_head(rng, s1, s2, hidden, out_dim, activation)
     return Network(space=seq.space, sequence=seq, layers=(layer0, layer1))
 
 
@@ -495,7 +489,7 @@ def positional_encoding(n: int, d: int) -> list[tuple[float, float]]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiHeadAttentionOp:
     """Scaled dot-product attention over token values.
 
@@ -510,9 +504,17 @@ class MultiHeadAttentionOp:
     d_model: int
     heads: int
     head_dim: int
-    w_q: tuple  # heads x (d_model x head_dim), row-major nested tuples
-    w_k: tuple
-    w_z: tuple  # (heads*head_dim) x d_model
+    w_q: np.ndarray  # heads x d_model x head_dim
+    w_k: np.ndarray
+    w_z: np.ndarray  # (heads*head_dim) x d_model
+
+    def __post_init__(self):
+        # read-only float copies, so the op cannot change after it is
+        # built; eq=False, as arrays neither hash nor compare to one bool
+        for name in ("w_q", "w_k", "w_z"):
+            w = np.array(getattr(self, name), dtype=float)
+            w.flags.writeable = False
+            object.__setattr__(self, name, w)
 
     def _split(self, values: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         stack = np.stack([np.asarray(v, dtype=float) for v in values])
@@ -526,8 +528,8 @@ class MultiHeadAttentionOp:
         raw, _ = self._split(values)
         out = np.zeros((self.heads, self.n_tokens, self.n_tokens))
         for i in range(self.heads):
-            q = raw @ np.asarray(self.w_q[i], dtype=float)
-            k = raw @ np.asarray(self.w_k[i], dtype=float)
+            q = raw @ self.w_q[i]
+            k = raw @ self.w_k[i]
             logits = q @ k.T / math.sqrt(self.head_dim)
             logits = logits - logits.max(axis=1, keepdims=True)
             e = np.exp(logits)
@@ -540,14 +542,10 @@ class MultiHeadAttentionOp:
             return np.stack([self([v[i] for v in values])
                              for i in range(len(values[0]))])
         _, headvals = self._split(values)
-        attn = self.attention_weights(values)
-        zs = []
-        for i in range(self.heads):
-            v = headvals[:, i * self.head_dim:(i + 1) * self.head_dim]
-            zs.append(attn[i] @ v)
-        z = np.hstack(zs)
-        out = z @ np.asarray(self.w_z, dtype=float)
-        return out.reshape(-1)
+        attn, d = self.attention_weights(values), self.head_dim
+        z = np.hstack([attn[i] @ headvals[:, i * d:(i + 1) * d]
+                       for i in range(self.heads)])
+        return (z @ self.w_z).reshape(-1)
 
 
 def build_attention(n_tokens: int, d_model: int, heads: int = 1,
@@ -583,26 +581,19 @@ def build_attention(n_tokens: int, d_model: int, heads: int = 1,
     stage1 = make_cover(space, token_members)
     stages = (singleton_stage(space), stage1, global_stage(space))
 
-    token_dim = d_model + heads * head_dim
-    phis = []
-    for t in range(n_tokens):
-        for j in range(d_model):
-            col = np.zeros((token_dim, 1))
-            col[j, 0] = 1.0
-            for i in range(heads):
-                col[d_model + i * head_dim:d_model + (i + 1) * head_dim, 0] = w_v[i][j]
-            phis.append(affine_section(col))
+    # feature j of a token enters its raw slot j and every head's value
+    # row: column j of [I; w_v^T]
+    cols = np.vstack([np.eye(d_model)] + [w.T for w in w_v])
     layer1 = InclusionLayer(
         input_cover=stages[0], output_cover=stage1,
         aggregation=tuple(tuple((t * d_model) + j for j in range(d_model))
                           for t in range(n_tokens)),
-        phi=tuple(phis), activation="identity", out_dim=token_dim)
+        phi=tuple(affine_section(cols[:, [j]]) for j in range(d_model)) * n_tokens,
+        activation="identity", out_dim=len(cols))
 
     op = MultiHeadAttentionOp(
         n_tokens=n_tokens, d_model=d_model, heads=heads, head_dim=head_dim,
-        w_q=tuple(tuple(map(tuple, w)) for w in w_q),
-        w_k=tuple(tuple(map(tuple, w)) for w in w_k),
-        w_z=tuple(map(tuple, w_z)))
+        w_q=w_q, w_k=w_k, w_z=w_z)
     layer2 = GeneralLayer(
         input_cover=stage1, output_cover=stages[2],
         aggregation=(tuple(range(n_tokens)),), op=op,

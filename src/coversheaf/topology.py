@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,6 +53,11 @@ class MarkedSpace:
                     f"grid rows and cols must be at least 1, got {rows} x {cols}")
             if rows * cols != self.n_points:
                 raise ValueError("grid shape does not match n_points")
+        if self.structure[0] == "graph":
+            for e in self.structure[1]:
+                if len(e) != 2 or not all(1 <= p <= self.n_points for p in e):
+                    raise ValueError(f"graph edge {list(e)} must join two of "
+                                     f"the points 1..{self.n_points}")
 
     @property
     def points(self) -> range:
@@ -181,24 +186,7 @@ class AxiomReport:
     all_hold: bool
 
     def to_json(self) -> dict:
-        return {
-            "all_hold": self.all_hold,
-            "stages": [
-                {
-                    "stage": s.stage,
-                    "locality": s.locality,
-                    "strictness": s.strictness,
-                    "non_triviality": s.non_triviality,
-                    "distinctness": s.distinctness,
-                    "sizes": list(s.sizes),
-                    "uncovered_point": s.uncovered_point,
-                    "non_triviality_failure": s.non_triviality_failure,
-                    "distinctness_failure": list(s.distinctness_failure)
-                    if s.distinctness_failure is not None else None,
-                }
-                for s in self.stages
-            ],
-        }
+        return _plain(self)
 
 
 def proper_unions(targets: Sequence[frozenset[int]],
@@ -307,6 +295,23 @@ def _json_int(value, field: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def _plain(obj):
+    """A JSON-ready copy of a report value: a dataclass as a dict of its
+    fields in order, tuples as lists, numpy values through ``tolist``,
+    and any other value that JSON lacks (a Fraction) as its string."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if hasattr(obj, "tolist"):
+        return _plain(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_plain(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    return str(obj)
 
 
 def structure_from_json(obj: dict) -> tuple:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from ._linalg import nullspace_basis
-from .topology import Cover, OpenSet, proper_unions
+from .topology import Cover, OpenSet, _plain, proper_unions
 from .sections import (Affine, Const, CoordMap, Section, Sum, _accumulate,
                        affine_section, compose_coord, evaluate, open_set_dim,
                        polynomial_coefficients, polynomial_section,
@@ -28,28 +28,6 @@ from .network import (ForwardResult, InclusionLayer, Network, build_cnn,
 
 CLAIM_IDS = ("prop2.8-locality", "prop2.8-surjectivity", "rem2.9-glue",
              "rem2.9-kernel", "thm4.1", "thm4.2", "thm4.3")
-
-
-def _plain(obj):
-    """Make a value JSON-serializable (Fractions as strings, arrays as lists)."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    # bool subclasses int, so it must be matched first
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(x) for x in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, str) or obj is None:
-        return obj
-    return str(obj)
 
 
 @dataclass(frozen=True)
@@ -65,9 +43,7 @@ class WitnessReport:
             raise ValueError(f"unknown claim id {self.claim!r}")
 
     def to_json(self) -> dict:
-        return {"schema": 1, "claim": self.claim, "verdict": self.verdict,
-                "seed": self.seed, "inputs": _plain(self.inputs),
-                "measured": _plain(self.measured)}
+        return {"schema": 1, **_plain(self)}
 
 
 def _union_open(cover: Cover) -> OpenSet:
@@ -701,33 +677,23 @@ class AttackSpec:
                        self.p)
 
     def to_json(self) -> dict:
-        return {"layer_index": self.layer_index, "p": self.p,
-                "delta": self.delta,
-                "perturbations": [[str(v) for v in vec]
-                                  for vec in self.perturbations]}
+        return _plain(self)
 
 
 def _incidence(layer: InclusionLayer) -> np.ndarray:
-    rows = len(layer.aggregation)
-    cols = len(layer.input_cover.elements)
-    m = np.zeros((rows, cols), dtype=np.int64)
+    m = np.zeros((len(layer.aggregation), len(layer.input_cover.elements)),
+                 dtype=np.int64)
     for b, atuple in enumerate(layer.aggregation):
-        for a in atuple:
-            m[b, a] = 1
+        m[b, list(atuple)] = 1
     return m
 
 
 def _offset_layer(layer: InclusionLayer,
                   offsets: Sequence[Sequence[float]]) -> InclusionLayer:
-    phis = []
-    for s, off in zip(layer.phi, offsets):
-        phis.append(Section(domain_dim=s.domain_dim, codomain_dim=s.codomain_dim,
-                            body=Sum((s.body, Const(tuple(off)))),
-                            domain=s.domain))
-    return InclusionLayer(input_cover=layer.input_cover,
-                          output_cover=layer.output_cover,
-                          aggregation=layer.aggregation, phi=tuple(phis),
-                          activation=layer.activation, out_dim=layer.out_dim)
+    return replace(layer, phi=tuple(
+        Section(domain_dim=s.domain_dim, codomain_dim=s.codomain_dim,
+                body=Sum((s.body, Const(tuple(off)))), domain=s.domain)
+        for s, off in zip(layer.phi, offsets)))
 
 
 def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
@@ -859,7 +825,7 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
         measured={"null_space_dim": len(basis), "displacement": formula,
                   "zero_sum_exact": zero_sum, "max_output_gap": out_gap,
                   "max_displacement_gap": disp_gap,
-                  "perturbations": spec.to_json()["perturbations"]})
+                  "perturbations": spec.perturbations})
     return spec, report
 
 

@@ -357,6 +357,26 @@ def test_edges_need_exactly_two_endpoints(capsys, tmp_path, edges):
     assert "exactly two endpoints" in err
 
 
+@pytest.mark.parametrize("edges", [[[1, 99], [0, 2, 3]], [[1, 99]],
+                                   [[0, 2, 3]], [[1]]])
+def test_graph_edges_outside_the_space_exit_2(capsys, tmp_path, edges):
+    structure = {"kind": "graph", "edges": edges}
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps(_cover_doc(structure=structure)))
+    net = json.loads(Path(SUMPOOL).read_text())
+    net["space"]["structure"] = structure
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    for argv in (["cohomology", "--cover", str(cover)],
+                 ["witness", "thm4.2", "--net", str(path)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: graph edge [") and "\n" not in err
+
+
 def count_calls(monkeypatch, module, name) -> list:
     """Record the arguments of every call to ``module.name``, wherever a
     coversheaf module has bound that function."""

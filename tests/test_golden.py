@@ -8,16 +8,26 @@ or exact rational results), so no BLAS rounding can move them.  The
 thm4.2 reports on ``sumpool.json`` hold gaps and displacements computed
 from seeded draws by IEEE additions, 1x1 products by 1.0 and ``pow``,
 none of which depends on BLAS blocking.
+
+The ``build_*`` files pin the builders' weights: the JSON of three
+networks and the attention block's phi and Q/K/Z matrices.  A reordered
+RNG draw changes them.  These values are seeded draws divided by
+``math.sqrt``, so they do not depend on BLAS either.
 Regenerate a file only with a change that means to alter its report,
 and name that change in CHANGES.md.
 """
 
+import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coversheaf.cli import main
+from coversheaf.network import (build_attention, build_cnn, build_sequential,
+                                network_to_json)
+from coversheaf.sections import section_to_json
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE.parent / "fixtures"
@@ -67,3 +77,33 @@ def report(capsys, args: list[str]) -> str:
 def test_report_matches_golden(capsys, name):
     want = (GOLDEN / f"{name}.json").read_text()
     assert report(capsys, CASES[name]) == want
+
+
+def _attention_weights() -> dict:
+    net = build_attention(3, 4, heads=2, head_dim=2, seed=0)
+    op = net.layers[1].op
+    return {"phi": [section_to_json(s) for s in net.layers[0].phi],
+            **{w: np.asarray(getattr(op, w)).tolist()
+               for w in ("w_q", "w_k", "w_z")}}
+
+
+BUILDERS = {
+    "build_cnn_4_seed0": lambda: network_to_json(build_cnn(4, seed=0)),
+    "build_cnn_4_conv_maxpool_fc3_seed7": lambda: network_to_json(build_cnn(
+        4, plan=[{"kind": "conv", "channels": 2},
+                 {"kind": "pool", "mode": "max", "block": 2},
+                 {"kind": "fc", "out_dim": 3, "activation": "tanh"}],
+        seed=7)),
+    "build_sequential_4_rnn_seed0": lambda: network_to_json(
+        build_sequential(4, "rnn", seed=0)),
+    "build_attention_3x4_heads2_seed0": _attention_weights,
+}
+
+
+def builder_text(name: str) -> str:
+    return json.dumps(BUILDERS[name](), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builder_weights_match_golden(name):
+    assert builder_text(name) == (GOLDEN / f"{name}.json").read_text()

@@ -251,6 +251,26 @@ def test_cnn_rejects_unknown_pool_modes(mode):
                            {"kind": "fc", "out_dim": 1}])
 
 
+def test_cnn_rejects_sizes_below_1():
+    fc = {"kind": "fc"}
+    cases = [
+        ("block", lambda: build_cnn(4, plan=[
+            {"kind": "pool", "mode": "sum", "block": 0}, fc])),
+        ("block", lambda: build_cnn(4, plan=[
+            {"kind": "pool", "mode": "max", "block": -2}, fc])),
+        ("channels", lambda: build_cnn(4, plan=[
+            {"kind": "conv", "channels": -1}, fc])),
+        ("channels", lambda: build_cnn(4, plan=[
+            {"kind": "conv", "channels": 0}, fc])),
+        ("out_dim", lambda: build_cnn(4, plan=[{"kind": "fc", "out_dim": 0}])),
+        ("out_dim", lambda: build_sequential(4, out_dim=0)),
+        ("hidden", lambda: build_sequential(4, hidden=0)),
+    ]
+    for field, build in cases:
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            build()
+
+
 def test_network_json_errors():
     with pytest.raises(ValueError):
         network_from_json({"space": {"n_points": 1, "fiber_dims": [1]}})

@@ -37,6 +37,11 @@ def test_marked_space_validation():
     # unless both are at least 1
     with pytest.raises(ValueError, match="at least 1, got -1 x -3"):
         MarkedSpace(n_points=3, fiber_dims=(1,) * 3, structure=("grid", -1, -3))
+    # a graph edge joins exactly two points of the space
+    for edges in ([[1, 99]], [[0, 2, 3]], [[1]]):
+        with pytest.raises(ValueError, match=rf"graph edge \{edges[0]}"):
+            MarkedSpace(n_points=3, fiber_dims=(1,) * 3,
+                        structure=("graph", edges))
 
 
 def test_open_set_is_one_based():
