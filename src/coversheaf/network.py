@@ -331,7 +331,7 @@ def _at_least_1(field: str, value) -> int:
 
 
 def _dense_head(rng: np.random.Generator, input_cover: Cover, output_cover: Cover,
-                in_dim: int, out_dim, activation: str) -> InclusionLayer:
+                in_dim: int, out_dim: int, activation: str) -> InclusionLayer:
     """The fully connected layer summing every input element into the
     output: one affine map per input, drawn weights then bias, with a
     bias on the first input only."""
