@@ -16,7 +16,9 @@ pass that builds the simplex block of each distinct m_p once and
 certifies it by exact integer elimination; dimensions and ranks of the
 whole complex are the weighted sums of the blocks'.
 ``build_cech_complex`` still assembles the dense complex of any cover:
-it builds the blocks, and tests compare the block route against it.
+it indexes each degree's coordinates (face, r, p, j) once and writes
+every coboundary entry directly, and tests compare the block route
+against it.
 
 Restrictions here are surjective for every nested pair (column
 selection hits every coordinate), which is the flasque property; on a
@@ -36,7 +38,7 @@ import numpy as np
 
 from ._linalg import exact_rank
 from .topology import Cover, MarkedSpace, OpenSet, make_cover
-from .sections import open_set_dim, slot_layout
+from .sections import open_set_dim, projection_map
 
 
 def restriction_matrix(big: OpenSet, small: OpenSet, fibers: Sequence[int],
@@ -49,93 +51,50 @@ def restriction_matrix(big: OpenSet, small: OpenSet, fibers: Sequence[int],
     """
     if not small.members <= big.members:
         raise ValueError("restriction requires the small set inside the big one")
-    d_big = open_set_dim(big.members, fibers)
-    d_small = open_set_dim(small.members, fibers)
-    big_slots = slot_layout(big.members, fibers)
-    cols: list[int] = []
-    for p in sorted(small.members):
-        cols.extend(big_slots[p])
-    out = np.zeros((k * d_small, k * d_big), dtype=np.int64)
-    for r in range(k):
-        for t, c in enumerate(cols):
-            out[r * d_small + t, r * d_big + c] = 1
-    return out
+    select = np.eye(open_set_dim(big.members, fibers), dtype=np.int64)[
+        list(projection_map(fibers, big, small).slots)]
+    return np.kron(np.eye(k, dtype=np.int64), select)
 
 
 @dataclass(frozen=True)
 class CechComplex:
-    """Cochain data of the Hom sections on a cover.
+    """Cochain dimensions ``dims[q]`` and coboundaries
+    ``coboundaries[q]``: C^q -> C^{q+1} of the Hom sections on a cover."""
 
-    ``blocks[q]`` lists the sorted element-index tuples of size q+1 in
-    lexicographic order, ``dims[q]`` the total cochain dimension, and
-    ``coboundaries[q]`` the matrix C^q -> C^{q+1}.
-    """
-
-    cover: Cover
-    fibers: tuple[int, ...]
-    k: int
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
     dims: tuple[int, ...]
     coboundaries: tuple[np.ndarray, ...]
-
-
-def _face_members(memberships, combo) -> frozenset[int]:
-    out = memberships[combo[0]]
-    for i in combo[1:]:
-        out = out & memberships[i]
-    return out
 
 
 def build_cech_complex(cover: Cover, fibers: Sequence[int], k: int,
                        max_degree: int) -> CechComplex:
     """Assemble cochain spaces and coboundaries up to C^{max_degree+1}.
 
-    Degrees beyond the cover size contribute zero spaces, so requesting
-    a high degree is safe.
+    A coordinate of C^q is (face, r, p, j), row r and fiber slot j of a
+    point p of the face: faces in lexicographic order, then rows, then
+    slots in point order.  Degrees beyond the cover size contribute zero
+    spaces, so requesting a high degree is safe.
     """
-    fibers = tuple(int(f) for f in fibers)
     memberships = cover.memberships()
-    n = len(memberships)
-    top = max_degree + 1
-
-    blocks: list[tuple[tuple[int, ...], ...]] = []
-    dims: list[int] = []
-    offsets: list[dict[tuple[int, ...], int]] = []
-    face_dims: list[dict[tuple[int, ...], int]] = []
-    for q in range(top + 1):
-        combos = tuple(itertools.combinations(range(n), q + 1))
-        off: dict[tuple[int, ...], int] = {}
-        fd: dict[tuple[int, ...], int] = {}
-        pos = 0
-        for c in combos:
-            d = open_set_dim(_face_members(memberships, c), fibers)
-            off[c] = pos
-            fd[c] = d
-            pos += k * d
-        blocks.append(combos)
-        dims.append(pos)
-        offsets.append(off)
-        face_dims.append(fd)
-
-    def face_open(combo) -> OpenSet:
-        return OpenSet(id="::".join(str(i) for i in combo) or "empty",
-                       members=_face_members(memberships, combo))
+    index: list[dict[tuple, int]] = []
+    for q in range(max_degree + 2):
+        coords: dict[tuple, int] = {}
+        for face in itertools.combinations(range(len(memberships)), q + 1):
+            points = sorted(frozenset.intersection(
+                *(memberships[i] for i in face)))
+            for r in range(k):
+                for p in points:
+                    for j in range(int(fibers[p - 1])):
+                        coords[face, r, p, j] = len(coords)
+        index.append(coords)
 
     deltas: list[np.ndarray] = []
-    for q in range(top):
-        mat = np.zeros((dims[q + 1], dims[q]), dtype=np.int64)
-        for T in blocks[q + 1]:
-            t_open = face_open(T)
+    for low, high in zip(index, index[1:]):
+        mat = np.zeros((len(high), len(low)), dtype=np.int64)
+        for (T, r, p, j), row in high.items():
             for t in range(len(T)):
-                S = T[:t] + T[t + 1:]
-                block = restriction_matrix(face_open(S), t_open, fibers, k)
-                sign = 1 if t % 2 == 0 else -1
-                r0, c0 = offsets[q + 1][T], offsets[q][S]
-                mat[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += sign * block
+                mat[row, low[T[:t] + T[t + 1:], r, p, j]] = (-1) ** t
         deltas.append(mat)
-
-    return CechComplex(cover=cover, fibers=fibers, k=k,
-                       blocks=tuple(blocks[:top + 1]), dims=tuple(dims[:top + 1]),
+    return CechComplex(dims=tuple(len(c) for c in index),
                        coboundaries=tuple(deltas))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -252,30 +253,31 @@ _HANDLERS = {
 }
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
+def _at_least(low, kind=int):
+    """An argparse type: a finite ``kind`` value no smaller than ``low``."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
-        if value < low:
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not low <= value < math.inf:
+            finite = "" if kind is int else "finite and "
             raise argparse.ArgumentTypeError(
-                f"must be at least {low}, got {value}")
+                f"must be {finite}at least {low}, got {value}")
         return value
     return parse
 
 
-_COUNT = _int_at_least(1)
-_DEPTH = _int_at_least(0)
+_COUNT = _at_least(1)
+_DEPTH = _at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized behavior")
-    common.add_argument("--tol", type=float, default=None,
+    common.add_argument("--tol", type=_at_least(0, float), default=None,
                         help="numerical tolerance (default 1e-9; "
                              "1e-6 for dataset dependency)")
     common.add_argument("--samples", type=_COUNT, default=100,

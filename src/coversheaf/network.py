@@ -562,6 +562,8 @@ def build_attention(n_tokens: int, d_model: int, heads: int = 1,
     """
     if n_tokens < 2:
         raise ValueError("attention needs at least two tokens")
+    heads = _at_least_1("heads", heads)
+    head_dim = _at_least_1("head_dim", head_dim)
     N = n_tokens * d_model
     space = MarkedSpace(n_points=N, fiber_dims=(1,) * N, structure=("abstract",))
     rng = np.random.default_rng(seed)

@@ -375,6 +375,8 @@ def glue_report(cover: Cover, k: int = 1, tol: float = 1e-9,
     fibers = cover.space.fiber_dims
     rng = np.random.default_rng(seed)
     U = _union_open(cover)
+    if not U.members:
+        raise ValueError("nothing to glue: the cover covers no point")
     d_U = open_set_dim(U.members, fibers)
     hidden = _seeded_polynomial(d_U, k, rng)
     locals_ = [compose_coord(hidden, zero_pad_map(fibers, el, U))

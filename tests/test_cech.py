@@ -1,8 +1,11 @@
 """Cochain ranks, exactness and the dual rank certification routes."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from coversheaf.sections import open_set_dim, slot_layout
 from coversheaf.topology import MarkedSpace, OpenSet, make_cover
 from coversheaf.cech import (ExactnessReport, _block_pass,
                              build_cech_complex, cech_cohomology,
@@ -212,6 +215,75 @@ def test_point_blocks_match_the_assembled_complex():
             (want_h, want_dims, want_axioms)
         assert cech_cohomology(cover, fibers, k, degree) == want_h
         assert sheaf_axiom_check(cover, fibers, k) == want_axioms
+        count += 1
+    assert count >= 389
+
+
+def block_restriction(big, small, fibers, k):
+    """The restriction matrix written entry by entry from slot layouts."""
+    d_big = open_set_dim(big.members, fibers)
+    d_small = open_set_dim(small.members, fibers)
+    big_slots = slot_layout(big.members, fibers)
+    cols = [c for p in sorted(small.members) for c in big_slots[p]]
+    out = np.zeros((k * d_small, k * d_big), dtype=np.int64)
+    for r in range(k):
+        for t, c in enumerate(cols):
+            out[r * d_small + t, r * d_big + c] = 1
+    return out
+
+
+def block_assembly(cover, fibers, k, max_degree):
+    """dims and coboundaries from one restriction block per face pair,
+    copied into place at the faces' offsets."""
+    memberships = cover.memberships()
+
+    def face_open(combo):
+        return OpenSet(id="face", members=frozenset.intersection(
+            *(memberships[i] for i in combo)))
+
+    faces, offsets, dims = [], [], []
+    for q in range(max_degree + 2):
+        combos = list(itertools.combinations(range(len(memberships)), q + 1))
+        off, pos = {}, 0
+        for c in combos:
+            off[c] = pos
+            pos += k * open_set_dim(face_open(c).members, fibers)
+        faces.append(combos)
+        offsets.append(off)
+        dims.append(pos)
+    deltas = []
+    for q in range(max_degree + 1):
+        mat = np.zeros((dims[q + 1], dims[q]), dtype=np.int64)
+        for T in faces[q + 1]:
+            for t in range(len(T)):
+                S = T[:t] + T[t + 1:]
+                block = block_restriction(face_open(S), face_open(T), fibers, k)
+                r0, c0 = offsets[q + 1][T], offsets[q][S]
+                mat[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += \
+                    (-1) ** t * block
+        deltas.append(mat)
+    return tuple(dims), deltas
+
+
+def assert_same_matrix(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_coordinate_index_matches_the_block_assembly():
+    count = 0
+    for cover, k, degree in oracle_cases():
+        fibers = cover.space.fiber_dims
+        cx = build_cech_complex(cover, fibers, k, degree)
+        dims, deltas = block_assembly(cover, fibers, k, degree)
+        assert cx.dims == dims
+        assert len(cx.coboundaries) == len(deltas)
+        for got, want in zip(cx.coboundaries, deltas):
+            assert_same_matrix(got, want)
+        union = OpenSet(id="union", members=cover.covered)
+        for el in cover.elements:
+            assert_same_matrix(restriction_matrix(union, el, fibers, k),
+                               block_restriction(union, el, fibers, k))
         count += 1
     assert count >= 389
 

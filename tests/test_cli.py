@@ -223,6 +223,10 @@ def test_reports_are_reproducible(capsys, argv):
     ["wl-compare", C6, TWO_C3, "--depth", "-1"],
     ["demo", "cnn", "--samples", "0"],
     ["demo", "cnn", "--grid", "0"],
+    *[[*cmd, "--tol", tol]
+      for cmd in (["witness", "thm4.2", "--net", SUMPOOL],
+                  ["witness", "thm4.3"], ["witness", "glue"], ["demo", "cnn"])
+      for tol in ("nan", "inf", "-1")],
 ])
 def test_meaningless_counts_exit_2_at_parse_time(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -317,6 +321,17 @@ def test_grid_with_rows_or_cols_below_1_exits_2(capsys, tmp_path):
     assert captured.out == ""
     err = captured.err.strip()
     assert err.startswith("error: grid rows and cols") and "\n" not in err
+
+
+def test_glue_on_a_cover_of_no_point_exits_2(capsys, tmp_path):
+    path = tmp_path / "uncovered.json"
+    path.write_text(json.dumps(_cover_doc(covers=[[[], []]])))
+    code = main(["witness", "glue", "--cover", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: nothing to glue") and "\n" not in err
 
 
 def test_attack_on_a_1500_deep_phi_network(capsys, tmp_path):

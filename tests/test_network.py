@@ -265,6 +265,8 @@ def test_cnn_rejects_sizes_below_1():
         ("out_dim", lambda: build_cnn(4, plan=[{"kind": "fc", "out_dim": 0}])),
         ("out_dim", lambda: build_sequential(4, out_dim=0)),
         ("hidden", lambda: build_sequential(4, hidden=0)),
+        ("heads", lambda: build_attention(3, 4, heads=0)),
+        ("head_dim", lambda: build_attention(3, 4, head_dim=0)),
     ]
     for field, build in cases:
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
