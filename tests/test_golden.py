@@ -4,7 +4,9 @@ Each file under ``tests/golden/`` holds the stdout of one command line,
 with the timestamp and the fixture directory scrubbed.  These reports
 hold integers, strings and floats that are exact by construction (the
 0.0 and 1.0 of ``witness prop2.8`` are products and sums of 0s and 1s,
-or exact rational results), so no BLAS rounding can move them.  The
+or exact rational results), so no BLAS rounding can move them.  In the
+thm4.1 reports, ``input_gap`` is a difference of two seeded draws and
+``output_gap`` comes from max-pooling one multiset of them.  The
 thm4.2 reports on ``sumpool.json`` hold gaps and displacements computed
 from seeded draws by IEEE additions, 1x1 products by 1.0 and ``pow``,
 none of which depends on BLAS blocking.
@@ -47,6 +49,10 @@ CASES = {
     "wl_labeled_depth3": ["wl-compare", "labeled_a.json", "labeled_b.json",
                           "--depth", "3"],
     "witness_prop2.8": ["witness", "prop2.8"],
+    # locality's zero-pad restrictions and the max-pooled collision
+    "witness_thm4.1": ["witness", "thm4.1"],
+    "witness_thm4.1_triangle_k2": ["witness", "thm4.1", "--cover",
+                                   "triangle.json", "--k", "2"],
     "witness_thm4.2_sumpool": ["witness", "thm4.2", "--net", "sumpool.json",
                                "--p", "2"],
     "witness_thm4.2_sumpool_p3.5_delta4": ["witness", "thm4.2", "--net",
