@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import exact_rank
-from .topology import Cover, MarkedSpace, OpenSet, make_cover
+from .topology import Cover, MarkedSpace, OpenSet, _at_least, make_cover
 from .sections import open_set_dim, projection_map
 
 
@@ -159,6 +159,7 @@ def _block_pass(cover: Cover, fibers: Sequence[int], k: int, max_degree: int
     ranks of the m x 1 all-ones restriction column and of its transpose,
     and delta_0 applied to that column.
     """
+    k, max_degree = _at_least("k", k), _at_least("max_degree", max_degree, 0)
     weights = _point_blocks(cover, fibers, k)
     dims = [0] * (max_degree + 2)
     ranks = [0] * (max_degree + 1)

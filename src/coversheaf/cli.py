@@ -277,13 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized behavior")
-    common.add_argument("--tol", type=_at_least(0, float), default=None,
-                        help="numerical tolerance (default 1e-9; "
-                             "1e-6 for dataset dependency)")
-    common.add_argument("--samples", type=_COUNT, default=100,
-                        help="extensional sample count")
     common.add_argument("--out", type=str, default=None,
                         help="also write the JSON report to this path")
+    # only the subcommands that sample and compare take these
+    checks = argparse.ArgumentParser(add_help=False, parents=[common])
+    checks.add_argument("--tol", type=_at_least(0, float), default=None,
+                        help="numerical tolerance (default 1e-9; "
+                             "1e-6 for dataset dependency)")
+    checks.add_argument("--samples", type=_COUNT, default=100,
+                        help="extensional sample count")
 
     ap = argparse.ArgumentParser(
         prog="coversheaf",
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_DEPTH, default=1,
                    help="largest cohomology degree reported")
 
-    p = sub.add_parser("witness", parents=[common],
+    p = sub.add_parser("witness", parents=[checks],
                        help="run one claim's witness checks")
     p.add_argument("claim", choices=["prop2.8", "thm4.1", "thm4.2",
                                      "thm4.3", "glue"])
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second", help="graph file (JSON or edge list)")
     p.add_argument("--depth", type=_DEPTH, default=4, help="unfolding depth")
 
-    p = sub.add_parser("demo", parents=[common],
+    p = sub.add_parser("demo", parents=[checks],
                        help="build an example network and run its suite")
     p.add_argument("name", choices=["cnn", "rnn", "attention"])
     p.add_argument("--p", type=float, default=2.0, help="displacement norm")

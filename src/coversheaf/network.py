@@ -25,12 +25,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .topology import (Cover, CoverSequence, MarkedSpace, _decode, _json_int,
-                       global_stage, make_cover, singleton_stage,
+from .topology import (Cover, CoverSequence, MarkedSpace, _at_least, _decode,
+                       _json_int, global_stage, make_cover, singleton_stage,
                        space_from_json, space_to_json)
-from .sections import (ACTIVATIONS, Activation, Node, Section, Sum,
-                       affine_section, constant_section, evaluate,
-                       section_from_json, section_to_json, shift_section,
+from .sections import (ACTIVATIONS, Activation, CoordMap, Node, Section, Sum,
+                       affine_section, compose_coord, constant_section,
+                       evaluate, section_from_json, section_to_json,
                        slot_layout, zero_section)
 
 
@@ -261,8 +261,8 @@ def composed_layer_sections(layer: InclusionLayer) -> list[Section]:
     for atuple in layer.aggregation:
         parts: list[Node] = []
         for a in atuple:
-            shifted = shift_section(layer.phi[a], offsets[a], total)
-            parts.append(shifted.body)
+            block = CoordMap(None, total, tuple(range(offsets[a], offsets[a + 1])))
+            parts.append(compose_coord(layer.phi[a], block).body)
         body: Node = parts[0] if len(parts) == 1 else Sum(tuple(parts))
         if layer.activation != "identity":
             body = Activation(layer.activation, body)
@@ -281,8 +281,7 @@ def factors_check(layer: Layer, n_samples: int = 100, tol: float = 1e-9,
     """
     if not isinstance(layer, InclusionLayer):
         raise TypeError("factors_check applies to inclusion layers only")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    n_samples = _at_least("n_samples", n_samples)
     offsets = _input_offsets(layer)
     sections = composed_layer_sections(layer)
     rng = np.random.default_rng(seed)
@@ -323,19 +322,12 @@ def _block_patches(shape: tuple[int, int], block: int,
     return members, (nr, nc), agg
 
 
-def _at_least_1(field: str, value) -> int:
-    value = int(value)
-    if value < 1:
-        raise ValueError(f"{field} must be at least 1, got {value}")
-    return value
-
-
 def _dense_head(rng: np.random.Generator, input_cover: Cover, output_cover: Cover,
                 in_dim: int, out_dim: int, activation: str) -> InclusionLayer:
     """The fully connected layer summing every input element into the
     output: one affine map per input, drawn weights then bias, with a
     bias on the first input only."""
-    out_dim = _at_least_1("out_dim", out_dim)
+    out_dim = _at_least("out_dim", out_dim)
     phis = []
     for a in range(len(input_cover.elements)):
         w = rng.standard_normal((out_dim, in_dim)) / math.sqrt(in_dim)
@@ -396,7 +388,7 @@ def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Netw
             if mode not in ("sum", "max"):
                 raise ValueError(f"unknown pool mode {mode!r}")
             members, shape, agg = _block_patches(
-                shape, _at_least_1("block", stage.get("block", 2)),
+                shape, _at_least("block", stage.get("block", 2)),
                 cur_cover.memberships())
             new_cover = make_cover(space, members)
         else:
@@ -406,7 +398,7 @@ def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Netw
                 input_cover=cur_cover, output_cover=new_cover,
                 aggregation=agg, op=Reducer("max"), out_dim=dim)
         else:
-            c = _at_least_1("channels", stage.get("channels", 4))
+            c = _at_least("channels", stage.get("channels", 4))
             phi = affine_section(rng.standard_normal((c, dim)) / math.sqrt(dim))
             layer = InclusionLayer(
                 input_cover=cur_cover, output_cover=new_cover,
@@ -459,7 +451,7 @@ def build_sequential(n: int, kind: str = "rnn", window: int = 2,
     stage-1 element into the global stage.  A ``hidden`` or ``out_dim``
     below 1 raises ValueError.
     """
-    hidden = _at_least_1("hidden", hidden)
+    hidden = _at_least("hidden", hidden)
     seq = build_rnn_cover(n, kind, window=window)
     rng = np.random.default_rng(seed)
     s0, s1, s2 = seq.stages
@@ -509,10 +501,16 @@ class MultiHeadAttentionOp:
     w_z: np.ndarray  # (heads*head_dim) x d_model
 
     def __post_init__(self):
+        for name in ("heads", "head_dim"):
+            object.__setattr__(self, name, _at_least(name, getattr(self, name)))
+        qk = (self.heads, self.d_model, self.head_dim)
         # read-only float copies, so the op cannot change after it is
         # built; eq=False, as arrays neither hash nor compare to one bool
-        for name in ("w_q", "w_k", "w_z"):
+        for name, shape in (("w_q", qk), ("w_k", qk),
+                            ("w_z", (self.heads * self.head_dim, self.d_model))):
             w = np.array(getattr(self, name), dtype=float)
+            if w.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {w.shape}")
             w.flags.writeable = False
             object.__setattr__(self, name, w)
 
@@ -562,8 +560,6 @@ def build_attention(n_tokens: int, d_model: int, heads: int = 1,
     """
     if n_tokens < 2:
         raise ValueError("attention needs at least two tokens")
-    heads = _at_least_1("heads", heads)
-    head_dim = _at_least_1("head_dim", head_dim)
     N = n_tokens * d_model
     space = MarkedSpace(n_points=N, fiber_dims=(1,) * N, structure=("abstract",))
     rng = np.random.default_rng(seed)

@@ -12,7 +12,8 @@ orders, checks and sizes the DAG; one fold (``_fold``) runs evaluation,
 exact coefficients and coordinate rewrites over it as per-kind rules;
 JSON maps each node's dataclass fields through one kind <-> class table.
 
-Coordinate maps between open sets come in exactly two kinds:
+Coordinate maps between open sets are select-or-zero maps, all built
+by ``coord_map``; two kinds are named:
 
 * projection (V -> U for U inside V): drop the coordinates of points
   outside U, keeping order;
@@ -361,48 +362,39 @@ class CoordMap:
     """A select-or-zero linear map between open-set coordinate spaces.
 
     ``slots[t]`` gives the source slot feeding target slot t, or None
-    for a zero fill.  Projections (V -> U) have no None entries;
-    zero_pad maps (U -> V) have None exactly at the slots of points
-    outside U.
+    for a zero fill, so the target dimension is ``len(slots)``.
+    ``source`` is the open set the source space belongs to, if any.
     """
 
-    source: OpenSet
+    source: OpenSet | None
     source_dim: int
-    target_dim: int
     slots: tuple[int | None, ...]
 
-    def __post_init__(self):
-        if len(self.slots) != self.target_dim:
-            raise ValueError("slots length must equal target dimension")
+
+def coord_map(fibers: Sequence[int], source: OpenSet, target: OpenSet,
+              read: frozenset[int]) -> CoordMap:
+    """The map R^{d_source} -> R^{d_target} in which slot j of a target
+    point p reads slot j of p in ``source`` when p is in ``read`` (a
+    subset of ``source``), and zero otherwise."""
+    at = slot_layout(source.members, fibers)
+    slots: list[int | None] = []
+    for p in sorted(target.members):
+        slots.extend(at[p] if p in read else [None] * fibers[p - 1])
+    return CoordMap(source, open_set_dim(source.members, fibers), tuple(slots))
 
 
 def projection_map(fibers: Sequence[int], big: OpenSet, small: OpenSet) -> CoordMap:
     """The coordinate projection R^{d_big} -> R^{d_small} (small inside big)."""
     if not small.members <= big.members:
         raise ValueError("projection requires the target inside the source")
-    src = slot_layout(big.members, fibers)
-    slots: list[int | None] = []
-    for p in sorted(small.members):
-        slots.extend(src[p])
-    return CoordMap(source=big, source_dim=open_set_dim(big.members, fibers),
-                    target_dim=open_set_dim(small.members, fibers),
-                    slots=tuple(slots))
+    return coord_map(fibers, big, small, small.members)
 
 
 def zero_pad_map(fibers: Sequence[int], small: OpenSet, big: OpenSet) -> CoordMap:
     """The zero-padding inclusion R^{d_small} -> R^{d_big} (small inside big)."""
     if not small.members <= big.members:
         raise ValueError("zero_pad requires the source inside the target")
-    src = slot_layout(small.members, fibers)
-    slots: list[int | None] = []
-    for p in sorted(big.members):
-        if p in small.members:
-            slots.extend(src[p])
-        else:
-            slots.extend([None] * fibers[p - 1])
-    return CoordMap(source=small, source_dim=open_set_dim(small.members, fibers),
-                    target_dim=open_set_dim(big.members, fibers),
-                    slots=tuple(slots))
+    return coord_map(fibers, small, big, small.members)
 
 
 def _rewrite(section: Section, slots: tuple[int | None, ...]) -> Node:
@@ -435,25 +427,14 @@ def compose_coord(section: Section, cmap: CoordMap) -> Section:
     Composition is performed by rewriting coordinate references, so the
     DAG does not grow in depth.
     """
-    if cmap.target_dim != section.domain_dim:
+    if len(cmap.slots) != section.domain_dim:
         raise ValueError(
-            f"coordinate map target dim {cmap.target_dim} does not match "
+            f"coordinate map target dim {len(cmap.slots)} does not match "
             f"section domain dim {section.domain_dim}")
     body = _rewrite(section, cmap.slots)
     return Section(domain_dim=cmap.source_dim,
                    codomain_dim=section.codomain_dim,
                    body=body, domain=cmap.source)
-
-
-def shift_section(section: Section, offset: int, total_dim: int,
-                  domain: OpenSet | None = None) -> Section:
-    """View a section as reading a contiguous slot block of a larger space."""
-    if offset < 0 or offset + section.domain_dim > total_dim:
-        raise ValueError("slot block out of range")
-    slots = tuple(range(offset, offset + section.domain_dim))
-    body = _rewrite(section, slots)
-    return Section(domain_dim=total_dim, codomain_dim=section.codomain_dim,
-                   body=body, domain=domain)
 
 
 # ---------------------------------------------------------------------------

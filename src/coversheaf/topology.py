@@ -15,6 +15,7 @@ format.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -91,7 +92,7 @@ class Cover:
 
     space: MarkedSpace
     elements: tuple[OpenSet, ...]
-    covered: frozenset[int] = field(default=frozenset())
+    covered: frozenset[int] = field(init=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -295,6 +296,16 @@ def _json_int(value, field: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def _at_least(field: str, value, low=1, kind=int):
+    """``value`` as a finite ``kind`` no smaller than ``low``; otherwise
+    ValueError naming ``field``, so a check never runs on nothing."""
+    value = kind(value)
+    if not low <= value < math.inf:
+        finite = "" if kind is int else "finite and "
+        raise ValueError(f"{field} must be {finite}at least {low}, got {value}")
+    return value
 
 
 def _plain(obj):

@@ -17,12 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import nullspace_basis
-from .topology import Cover, OpenSet, _plain, proper_unions
-from .sections import (Affine, Const, CoordMap, Section, Sum, _accumulate,
-                       affine_section, compose_coord, evaluate, open_set_dim,
-                       polynomial_coefficients, polynomial_section,
-                       product_counterexample, projection_map, sections_equal,
-                       slot_layout, zero_pad_map, zero_section, ACTIVATIONS)
+from .topology import Cover, OpenSet, _at_least, _plain, proper_unions
+from .sections import (Affine, Const, Node, Section, Sum, _accumulate,
+                       affine_section, compose_coord, coord_map, evaluate,
+                       open_set_dim, polynomial_coefficients,
+                       polynomial_section, product_counterexample,
+                       projection_map, sections_equal, slot_layout,
+                       zero_pad_map, zero_section, ACTIVATIONS)
 from .network import (ForwardResult, InclusionLayer, Network, build_cnn,
                       forward)
 
@@ -73,6 +74,7 @@ def locality_witness(cover: Cover, fibers: Sequence[int], k: int,
     that g and g + h restrict identically everywhere yet differ at the
     all-ones input.
     """
+    k, n_samples = _at_least("k", k), _at_least("n_samples", n_samples)
     _qualifying(cover)
     U = _union_open(cover)
     d_U = open_set_dim(U.members, fibers)
@@ -197,6 +199,7 @@ def surjectivity_witness(cover: Cover, fibers: Sequence[int], k: int,
     (``exact_mixed_difference``); the product value is exact too, since
     it evaluates products of 0s and 1s.
     """
+    k, n_trials = _at_least("k", k), _at_least("n_trials", n_trials)
     _qualifying(cover)
     U = _union_open(cover)
     d_U = open_set_dim(U.members, fibers)
@@ -252,18 +255,6 @@ class IncompatibleLocalsError(ValueError):
         super().__init__(
             f"locals {pair[0]} and {pair[1]} disagree on their overlap "
             f"(max deviation {deviation:.3e})")
-
-
-def _scaled(section: Section, c: int) -> Section:
-    """c times the section (c = 1 returns it unchanged)."""
-    if c == 1:
-        return section
-    k = section.codomain_dim
-    m = tuple(tuple(float(c) if i == j else 0.0 for j in range(k))
-              for i in range(k))
-    return Section(domain_dim=section.domain_dim, codomain_dim=k,
-                   body=Affine(m, (0.0,) * k, section.body),
-                   domain=section.domain)
 
 
 def _local_family(locals_: Sequence[Section], cover: Cover) -> int:
@@ -346,21 +337,19 @@ def glue_inclusion_exclusion(locals_: Sequence[Section], cover: Cover,
         raise IncompatibleLocalsError(worst_pair, worst_dev)
 
     U = _union_open(cover)
-    d_U = open_set_dim(U.members, fibers)
-    at = slot_layout(U.members, fibers)
-    terms = []
+    terms: list[Node] = []
     for face, c in inclusion_exclusion_faces(mems).items():
         first = next(i for i, m in enumerate(mems) if face <= m)
-        # restriction to the face then pullback to U, as one map: the
-        # slots of face points read U, the rest read zero
-        slots: list[int | None] = []
-        for p in sorted(mems[first]):
-            slots.extend(at[p] if p in face else [None] * fibers[p - 1])
-        pull = CoordMap(source=U, source_dim=d_U, target_dim=len(slots),
-                        slots=tuple(slots))
-        terms.append(_scaled(compose_coord(locals_[first], pull), c))
-    body = terms[0].body if len(terms) == 1 else Sum(tuple(t.body for t in terms))
-    return Section(domain_dim=d_U, codomain_dim=k, body=body, domain=U)
+        # restriction to the face, then pullback to U, as one map
+        pull = coord_map(fibers, U, cover.elements[first], face)
+        term = compose_coord(locals_[first], pull).body
+        if c != 1:
+            term = Affine(tuple(tuple(float(c) if i == j else 0.0 for j in range(k))
+                                for i in range(k)), (0.0,) * k, term)
+        terms.append(term)
+    body = terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    return Section(domain_dim=open_set_dim(U.members, fibers), codomain_dim=k,
+                   body=body, domain=U)
 
 
 def glue_report(cover: Cover, k: int = 1, tol: float = 1e-9,
@@ -372,6 +361,7 @@ def glue_report(cover: Cover, k: int = 1, tol: float = 1e-9,
     perturbs one local on a nonempty overlap and confirms the rejection
     names an overlapping pair.
     """
+    k, n_samples = _at_least("k", k), _at_least("n_samples", n_samples)
     fibers = cover.space.fiber_dims
     rng = np.random.default_rng(seed)
     U = _union_open(cover)
@@ -516,14 +506,15 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
     return out
 
 
-def kernel_report(cover: Cover, k: int = 1, seed: int = 0,
-                  n_pairs: int = 3) -> WitnessReport:
+def kernel_report(cover: Cover, k: int = 1, seed: int = 0) -> WitnessReport:
     """Round-trip audit of the pairwise decomposition on seeded data.
 
-    Generates random pairwise polynomials on overlapping pairs, forms
-    the induced zero-sum family, decomposes it, and verifies the exact
-    invariants (zero sum, antisymmetry, per-element reconstruction).
+    Generates random pairwise polynomials on the first three overlapping
+    pairs, forms the induced zero-sum family, decomposes it, and
+    verifies the exact invariants (zero sum, antisymmetry, per-element
+    reconstruction).
     """
+    k = _at_least("k", k)
     fibers = cover.space.fiber_dims
     mems = cover.memberships()
     n = len(mems)
@@ -532,7 +523,7 @@ def kernel_report(cover: Cover, k: int = 1, seed: int = 0,
     gen: dict[tuple[int, int], tuple[OpenSet, Section]] = {}
     pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
              if mems[i] & mems[j]]
-    for (i, j) in pairs[:max(n_pairs, 1)]:
+    for (i, j) in pairs[:3]:
         overlap = OpenSet(id=f"w{i}.{j}", members=mems[i] & mems[j])
         d = open_set_dim(overlap.members, fibers)
         gen[(i, j)] = overlap, _seeded_polynomial(d, k, rng)
@@ -597,19 +588,11 @@ def pooled_collision(seed: int = 0) -> WitnessReport:
     rng = np.random.default_rng(seed)
     x1 = rng.standard_normal(net.input_dim)
 
-    # swap the first and last cell of every 2x2 block
-    n = 4
-    perm = list(range(n * n))
-    for br in range(n // 2):
-        for bc in range(n // 2):
-            a = (br * 2) * n + (bc * 2)
-            b = (br * 2 + 1) * n + (bc * 2 + 1)
-            perm[a], perm[b] = perm[b], perm[a]
-    channels = net.space.fiber_dims[0]
-    x2 = np.empty_like(x1)
-    for cell, src in enumerate(perm):
-        x2[cell * channels:(cell + 1) * channels] = \
-            x1[src * channels:(src + 1) * channels]
+    # swap the first and last cell of every 2x2 block: g[block row,
+    # row in block, block col, col in block] is one cell's channels
+    g = x1.reshape(2, 2, 2, 2, net.space.fiber_dims[0]).copy()
+    g[:, 0, :, 0], g[:, 1, :, 1] = g[:, 1, :, 1].copy(), g[:, 0, :, 0].copy()
+    x2 = g.reshape(-1)
 
     out1 = forward(net, x1).output
     out2 = forward(net, x2).output
@@ -718,10 +701,10 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     displacements are max * (sum (|v|/max)^p)^(1/p).
 
     Raises ValueError for a layer index out of range, p below 1 or not
-    finite, delta not finite or not positive, n_inputs below 1, and a
-    delta whose offsets are too large for floats to verify: a check
-    that fails while adjacent floats at the largest offset lie more
-    than 1e-9 apart.
+    finite, delta not finite or not positive, n_inputs below 1, tol
+    negative or not finite, and a delta whose offsets are too large for
+    floats to verify: a check that fails while adjacent floats at the
+    largest offset lie more than 1e-9 apart.
     """
     if not 0 <= layer_index < len(net.layers):
         raise ValueError(f"layer index {layer_index} is out of range for a "
@@ -730,8 +713,7 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
         raise ValueError(f"p must be a finite number >= 1, got {p}")
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be finite and positive, got {delta}")
-    if n_inputs < 1:
-        raise ValueError(f"n_inputs must be at least 1, got {n_inputs}")
+    n_inputs, tol = _at_least("n_inputs", n_inputs), _at_least("tol", tol, 0, float)
     layer = net.layers[layer_index]
     if not isinstance(layer, InclusionLayer):
         raise ValueError("the attacked layer must factor through inclusions")
@@ -873,8 +855,8 @@ def dataset_dependency(net: Network, grid_points: int = 10_000,
     difference across a coordinate pair split by the last cover stage,
     while the coordinate-product target does not.
     """
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
+    grid_points = _at_least("grid_points", grid_points)
+    tol = _at_least("tol", tol, 0, float)
     final = net.layers[-1]
     if not isinstance(final, InclusionLayer):
         raise ValueError("the final layer must declare its activation")

@@ -237,6 +237,18 @@ def test_meaningless_counts_exit_2_at_parse_time(capsys, argv):
     assert "error: argument --" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--cover", TRIANGLE, "--samples", "3"],
+    ["cohomology", "--cover", TRIANGLE, "--tol", "5"],
+    ["wl-compare", C6, TWO_C3, "--tol", "1"],
+])
+def test_tol_and_samples_only_where_they_act(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+
+
 
 def _cover_doc(**fields):
     doc = {"n_points": 3, "fiber_dims": [1, 1, 1], "covers": [[[1, 2], [2, 3]]]}

@@ -11,7 +11,7 @@ from coversheaf.topology import (CoverSequence, MarkedSpace, global_stage,
                                  make_cover, singleton_stage)
 from coversheaf.sections import affine_section, constant_section, evaluate
 from coversheaf.network import (Deviation, GeneralLayer, InclusionLayer,
-                                Network, Reducer, build_attention, build_cnn,
+                                MultiHeadAttentionOp, Network, Reducer, build_attention, build_cnn,
                                 build_rnn_cover, build_sequential,
                                 composed_layer_sections,
                                 factors_check, forward, network_from_json,
@@ -183,6 +183,26 @@ def test_attention_matches_textbook_computation():
         zs.append(a @ V)
     want = (np.hstack(zs) @ np.array(op.w_z)).reshape(-1)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_attention_op_checks_its_sizes_and_weight_shapes():
+    def op(heads=1, head_dim=2, w_z=np.zeros((2, 2))):
+        qk = np.zeros((heads, 2, head_dim))
+        return MultiHeadAttentionOp(n_tokens=2, d_model=2, heads=heads,
+                                    head_dim=head_dim, w_q=qk, w_k=qk, w_z=w_z)
+
+    op()
+    with pytest.raises(ValueError, match="heads must be at least 1, got 0"):
+        op(heads=0, w_z=np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="head_dim must be at least 1"):
+        op(head_dim=0, w_z=np.zeros((0, 2)))
+    with pytest.raises(ValueError, match=r"w_z must have shape \(2, 2\), "
+                                         r"got \(5, 2\)"):
+        op(w_z=np.zeros((5, 2)))
+    with pytest.raises(ValueError, match=r"w_q must have shape \(2, 2, 2\)"):
+        MultiHeadAttentionOp(n_tokens=2, d_model=2, heads=2, head_dim=2,
+                             w_q=np.zeros((1, 2, 2)), w_k=np.zeros((2, 2, 2)),
+                             w_z=np.zeros((4, 2)))
 
 
 def test_batched_attention_forward_matches_loop():

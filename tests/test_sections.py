@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from coversheaf.cli import main
 from coversheaf.topology import OpenSet
 from coversheaf.sections import (ACTIVATIONS, Activation, Affine, Const,
-                                 Coords, Product, Section, Sum,
+                                 Coords, CoordMap, Product, Section, Sum,
                                  affine_section, compose_coord,
                                  constant_section, evaluate,
                                  identity_section, open_set_dim,
@@ -21,8 +21,7 @@ from coversheaf.sections import (ACTIVATIONS, Activation, Affine, Const,
                                  polynomial_section, product_counterexample,
                                  projection_map, section_from_json,
                                  section_to_json, sections_equal,
-                                 shift_section, slot_layout, zero_pad_map,
-                                 zero_section)
+                                 slot_layout, zero_pad_map, zero_section)
 from coversheaf.witnesses import multi_mixed_difference
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -303,6 +302,15 @@ def deep_section() -> Section:
                    body=Sum((chain, Coords((1, 0)))))
 
 
+def test_coordinate_maps_require_nested_sets():
+    with pytest.raises(ValueError, match="projection requires the target "
+                                         "inside the source"):
+        projection_map(UNIT3, U_12, U_23)
+    with pytest.raises(ValueError, match="zero_pad requires the source "
+                                         "inside the target"):
+        zero_pad_map(UNIT3, U_ALL, U_12)
+
+
 def test_deep_dag_evaluates_and_composes():
     sec = deep_section()
     assert len(sec.nodes) == DEEP + 3
@@ -314,7 +322,7 @@ def test_deep_dag_evaluates_and_composes():
     res = compose_coord(sec, zero_pad_map(UNIT3, OpenSet("p1", frozenset({1})),
                                           U_12))
     assert evaluate(res, [4.0]).tolist() == [4.0, 4.0]
-    shifted = shift_section(sec, 1, 4)
+    shifted = compose_coord(sec, CoordMap(None, 4, (1, 2)))
     assert evaluate(shifted, [9.0, 1.0, 2.0, 9.0]).tolist() == [3.0, 3.0]
 
 

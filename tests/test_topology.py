@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from coversheaf.topology import (CoverSequence, MarkedSpace, OpenSet,
+from coversheaf.topology import (Cover, CoverSequence, MarkedSpace, OpenSet,
                                  check_na_axioms, global_stage,
                                  load_space_document, make_cover,
                                  proper_unions, singleton_stage)
@@ -65,6 +65,13 @@ def test_cover_validation():
 def test_cover_may_undercover():
     cov = make_cover(space(4), [[1], [2]])
     assert cov.covered == {1, 2}
+
+
+def test_cover_derives_covered_and_takes_no_argument_for_it():
+    els = (OpenSet("a", frozenset({1})),)
+    assert Cover(space(3), els).covered == {1}
+    with pytest.raises(TypeError):
+        Cover(space(3), els, covered=frozenset({2, 3}))
 
 
 def test_cover_sequence_endpoint_validation():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from coversheaf._linalg import nullspace_basis
+from coversheaf.cech import cech_cohomology, sheaf_axiom_check
 from coversheaf.topology import (CoverSequence, MarkedSpace, OpenSet,
                                  global_stage, make_cover, singleton_stage)
 from coversheaf.sections import (affine_section, compose_coord, evaluate,
@@ -552,6 +553,34 @@ def test_dataset_dependency_bounded_activation():
     rep2 = dataset_dependency(relu, grid_points=500, seed=1)
     assert rep2.measured["target_value"] == -1.0
     assert rep2.verdict
+
+
+NAN, INF = float("nan"), float("inf")
+CHECKS_NOTHING = [
+    ("n_samples", lambda c: locality_witness(c, (1, 1, 1), 1, n_samples=0)),
+    ("k", lambda c: locality_witness(c, (1, 1, 1), 0)),
+    ("n_trials", lambda c: surjectivity_witness(c, (1, 1, 1), 1, n_trials=0)),
+    ("k", lambda c: surjectivity_witness(c, (1, 1, 1), 0)),
+    ("k", lambda c: kernel_report(c, k=0)),
+    ("k", lambda c: glue_report(c, k=0)),
+    ("n_samples", lambda c: glue_report(c, n_samples=0)),
+    ("k", lambda c: cech_cohomology(c, (1, 1, 1), 0, 2)),
+    ("k", lambda c: sheaf_axiom_check(c, (1, 1, 1), 0)),
+    ("max_degree", lambda c: cech_cohomology(c, (1, 1, 1), 1, -1)),
+    *[("tol", lambda c, t=t: dataset_dependency(build_cnn(4), tol=t))
+      for t in (-1.0, NAN, INF)],
+    *[("tol", lambda c, t=t: adversarial_attack(
+        network_from_json("fixtures/sumpool.json"), 0, tol=t))
+      for t in (-1e-9, NAN, INF)],
+]
+
+
+@pytest.mark.parametrize("field,call", CHECKS_NOTHING)
+def test_library_claims_reject_counts_that_check_nothing(field, call):
+    """A verdict that checked nothing is never given: each call raises a
+    ValueError naming the argument, before any verdict."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        call(triangle_cover())
 
 
 def test_dataset_dependency_rejects_empty_probe():
