@@ -588,8 +588,7 @@ def pooled_collision(seed: int = 0) -> WitnessReport:
     rng = np.random.default_rng(seed)
     x1 = rng.standard_normal(net.input_dim)
 
-    # swap the first and last cell of every 2x2 block: g[block row,
-    # row in block, block col, col in block] is one cell's channels
+    # swap the first and last cell of each 2x2 block of g[br, r, bc, c, channel]
     g = x1.reshape(2, 2, 2, 2, net.space.fiber_dims[0]).copy()
     g[:, 0, :, 0], g[:, 1, :, 1] = g[:, 1, :, 1].copy(), g[:, 0, :, 0].copy()
     x2 = g.reshape(-1)

@@ -199,6 +199,9 @@ def test_attention_op_checks_its_sizes_and_weight_shapes():
     with pytest.raises(ValueError, match=r"w_z must have shape \(2, 2\), "
                                          r"got \(5, 2\)"):
         op(w_z=np.zeros((5, 2)))
+    # the builder names a negative size before its draws would fail
+    with pytest.raises(ValueError, match="heads must be at least 1, got -1"):
+        build_attention(3, 4, heads=-1)
     with pytest.raises(ValueError, match=r"w_q must have shape \(2, 2, 2\)"):
         MultiHeadAttentionOp(n_tokens=2, d_model=2, heads=2, head_dim=2,
                              w_q=np.zeros((1, 2, 2)), w_k=np.zeros((2, 2, 2)),
