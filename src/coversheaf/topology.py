@@ -299,7 +299,7 @@ def _json_int(value, field: str) -> int:
 
 
 def _at_least(field: str, value, low=1, kind=int):
-    """``value`` as a finite ``kind`` of at least ``low``, else ValueError naming it."""
+    """``value`` as a finite ``kind`` >= ``low``, else a ValueError naming ``field``."""
     value = kind(value)
     if not low <= value < math.inf:
         finite = "" if kind is int else "finite and "
