@@ -37,7 +37,6 @@ from .witnesses import (AttackSpec, IncompatibleLocalsError,
                         surjectivity_witness)
 from .graphs import (ComparisonResult, Graph, WLColoring, compare_graphs,
                      cycle_graph, disjoint_union, load_graph, path_graph,
-                     relabel, unfolding_codes, wl_equals_unfolding,
-                     wl_refine)
+                     unfolding_codes, wl_equals_unfolding, wl_refine)
 
 __version__ = "0.1.0"

@@ -69,17 +69,6 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in adj)
 
 
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Apply a node permutation (node i becomes perm[i])."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm must be a permutation of the nodes")
-    labels = [0] * g.n
-    for i, p in enumerate(perm):
-        labels[p] = g.labels[i]
-    return Graph(n=g.n, edges=tuple((perm[u], perm[v]) for u, v in g.edges),
-                 labels=tuple(labels))
-
-
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     off = g1.n
     return Graph(n=g1.n + g2.n,

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .topology import OpenSet, _json_int
+from .topology import OpenSet, _at_least, _json_int
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +103,18 @@ class Coords(Node):
     children = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "indices",
-                           tuple(_json_int(i, "indices") for i in self.indices))
+        idx = tuple(_json_int(i, "indices") for i in self.indices)
+        lo = idx[0] if idx else 0  # one increasing run reads a slice, a view
+        run = idx == tuple(range(lo, lo + len(idx)))
+        self.__dict__.update(indices=idx, _at=slice(lo, lo + len(idx)) if run
+                             else _frozen(idx, np.intp))
+
+
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only array of node parameters, as evaluation reads them."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 def _reals(values, name: str) -> tuple[float, ...]:
@@ -127,7 +137,8 @@ class Const(Node):
     children = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _reals(self.values, "values"))
+        values = _reals(self.values, "values")
+        self.__dict__.update(values=values, _values=_frozen(values))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -140,13 +151,13 @@ class Affine(Node):
 
     def __post_init__(self):
         m = tuple(_reals(row, "matrix") for row in self.matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "bias", _reals(self.bias, "bias"))
-        object.__setattr__(self, "children", (self.child,))
-        if len(self.bias) != len(m):
+        bias = _reals(self.bias, "bias")
+        if len(bias) != len(m):
             raise ValueError("bias length must match matrix rows")
         if m and len({len(r) for r in m}) != 1:
             raise ValueError("matrix rows must have equal length")
+        self.__dict__.update(matrix=m, bias=bias, children=(self.child,),
+                             _matrix_t=_frozen(m).T, _bias=_frozen(bias))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -292,29 +303,32 @@ def evaluate(section: Section, y) -> np.ndarray:
     """Evaluate at one point (shape (d,)) or a batch (shape (n, d))."""
     arr = np.asarray(y, dtype=float)
     single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
+    arr = arr[None, :] if single else arr
     if arr.ndim != 2 or arr.shape[1] != section.domain_dim:
         raise ValueError(
             f"input shape {np.asarray(y).shape} does not match domain dim "
             f"{section.domain_dim}")
 
+    cols = np.asfortranarray(arr)  # a gather's layout, which matmul rounding follows
+
     def value(node: Node, args: list) -> np.ndarray:
         if isinstance(node, Coords):
-            return arr[:, list(node.indices)]
+            return cols[:, node._at]
         if isinstance(node, Const):
-            return np.broadcast_to(np.asarray(node.values, dtype=float),
-                                   (len(arr), len(node.values))).copy()
+            return np.broadcast_to(node._values, (len(arr), len(node.values))).copy()
         if isinstance(node, Affine):
             if not node.matrix:
                 return np.zeros((len(arr), 0))
-            return args[0] @ np.asarray(node.matrix, dtype=float).T + \
-                np.asarray(node.bias, dtype=float)
+            out = args[0] @ node._matrix_t
+            out += node._bias
+            return out
         if isinstance(node, Activation):
             return ACTIVATIONS[node.name].fn(args[0])
         return reduce(node._ufunc, args)
 
     out = _fold(section, value)
+    if np.may_share_memory(out, arr):  # a slice passed through to the body
+        out = out.copy(order="K")
     return out[0] if single else out
 
 
@@ -441,11 +455,6 @@ def compose_coord(section: Section, cmap: CoordMap) -> Section:
 # constructions
 
 
-def identity_section(dim: int, domain: OpenSet | None = None) -> Section:
-    return Section(domain_dim=dim, codomain_dim=dim,
-                   body=Coords(tuple(range(dim))), domain=domain)
-
-
 def affine_section(matrix, bias=None, domain: OpenSet | None = None) -> Section:
     # entries reach Affine as given, so it converts and checks them
     m = np.atleast_2d(np.asarray(matrix, dtype=object))
@@ -493,6 +502,7 @@ def sections_equal(a: Section, b: Section, n_samples: int = 100,
     Samples standard normal inputs and compares outputs in sup norm.
     Deterministic for a fixed seed.
     """
+    n_samples, tol = _at_least("n_samples", n_samples), _at_least("tol", tol, 0, float)
     if a.domain_dim != b.domain_dim or a.codomain_dim != b.codomain_dim:
         raise ValueError("sections must share domain and codomain dimensions")
     rng = np.random.default_rng(seed)

@@ -828,17 +828,28 @@ def classify_activation(name: str) -> str:
     return "open_non_bijective"
 
 
+_PROBE_BLOCK = 1024  # rows per probe block, so a probe's memory stays flat
+
+
+def _probe_blocks(dim: int, count: int, seed: int, bound: float):
+    """``probe_points``'s rows in order, in blocks of at most _PROBE_BLOCK."""
+    if dim <= 6:  # the mesh's flat row indices, last axis fastest
+        r = max(2, math.ceil(count ** (1.0 / dim)))
+        axis, count = np.linspace(-bound, bound, r), r ** dim
+        rows = lambda flat: axis[np.stack(np.unravel_index(flat, (r,) * dim), 1)]
+    else:
+        rng = np.random.default_rng(seed)
+        rows = lambda flat: rng.uniform(-bound, bound, size=(len(flat), dim))
+    for start in range(0, count, _PROBE_BLOCK):
+        yield rows(np.arange(start, min(start + _PROBE_BLOCK, count)))
+
+
 def probe_points(dim: int, count: int, seed: int = 0,
                  bound: float = 3.0) -> np.ndarray:
     """A deterministic probe set of at least ``count`` points: a true
     mesh grid in low dimension, else seeded uniform samples."""
-    if dim <= 6:
-        r = max(2, math.ceil(count ** (1.0 / dim)))
-        axes = [np.linspace(-bound, bound, r)] * dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-bound, bound, size=(count, dim))
+    count = _at_least("count", count)
+    return np.concatenate(list(_probe_blocks(dim, count, seed, bound)))
 
 
 def dataset_dependency(net: Network, grid_points: int = 10_000,
@@ -865,12 +876,13 @@ def dataset_dependency(net: Network, grid_points: int = 10_000,
 
     if branch == "not_surjective":
         target = float(info.unreachable_value)
-        pts = probe_points(net.input_dim, grid_points, seed=seed, bound=bound)
-        outs = forward(net, pts).output
-        gap = float(np.min(np.max(np.abs(outs - target), axis=1)))
-        verdict = gap > tol
+        gap, count = np.inf, 0  # the probe streams through forward
+        for pts in _probe_blocks(net.input_dim, grid_points, seed, bound):
+            dist = np.max(np.abs(forward(net, pts).output - target), axis=1)
+            gap, count = np.minimum(gap, dist.min()), count + len(pts)
+        verdict = bool(gap > tol)
         measured = {"branch": branch, "target_value": target,
-                    "min_gap_to_target": gap, "probe_count": len(pts)}
+                    "min_gap_to_target": float(gap), "probe_count": count}
     elif branch == "open_bijective":
         mems = final.input_cover.memberships()
         pair = None

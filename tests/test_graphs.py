@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from coversheaf.graphs import (Graph, compare_graphs, cycle_graph,
                                disjoint_union, load_graph, partition_ids,
-                               path_graph, relabel, unfolding_code_levels,
+                               path_graph, unfolding_code_levels,
                                unfolding_codes, wl_equals_unfolding,
                                wl_refine)
 
@@ -199,6 +199,15 @@ def test_nodes_of_a_class_share_one_code_object():
 def test_isolated_nodes_stay_leaves():
     g = Graph(n=2, labels=(4, 4))
     assert unfolding_codes(g, 3) == (b"(4)", b"(4)")
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Apply a node permutation (node i becomes perm[i])."""
+    labels = [0] * g.n
+    for i, p in enumerate(perm):
+        labels[p] = g.labels[i]
+    return Graph(n=g.n, edges=tuple((perm[u], perm[v]) for u, v in g.edges),
+                 labels=tuple(labels))
 
 
 @settings(max_examples=40, deadline=None)

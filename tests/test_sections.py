@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from coversheaf.cli import main
 from coversheaf.topology import OpenSet
 from coversheaf.sections import (ACTIVATIONS, Activation, Affine, Const,
-                                 Coords, CoordMap, Product, Section, Sum,
+                                 Coords, CoordMap, Max, Node, Product,
+                                 Section, Sum,
                                  affine_section, compose_coord,
-                                 constant_section, evaluate,
-                                 identity_section, open_set_dim,
+                                 constant_section, evaluate, open_set_dim,
                                  polynomial_coefficients,
                                  polynomial_section, product_counterexample,
                                  projection_map, section_from_json,
@@ -188,6 +188,11 @@ def test_polynomial_rejects_nonpolynomial():
                    body=Activation("relu", s.body), domain=None)
     with pytest.raises(ValueError):
         polynomial_coefficients(relu)
+
+
+def identity_section(dim: int) -> Section:
+    return Section(domain_dim=dim, codomain_dim=dim,
+                   body=Coords(tuple(range(dim))))
 
 
 def test_identity_section():
@@ -414,3 +419,129 @@ def test_deep_sections_compare_hash_and_print():
     assert repr(Sum((Coords((0,)), Const((1.0,))))) == \
         "Sum(children=(<Coords>, <Const>))"
     assert repr(Coords((0, 1))) == "Coords(indices=(0, 1))"
+
+
+# ---------------------------------------------------------------------------
+# array-backed leaves
+
+
+def tuple_route_evaluate(section: Section, y) -> np.ndarray:
+    """Evaluation as it was before leaves held arrays: each call gathers
+    every Coords with a list index and rebuilds each Affine's matrix and
+    bias from its tuples.  The oracle for the array-backed leaves."""
+    arr = np.asarray(y, dtype=float)
+    single = arr.ndim == 1
+    arr = arr[None, :] if single else arr
+    vals: dict[int, np.ndarray] = {}
+    for node in section.nodes:
+        args = [vals[id(c)] for c in node.children]
+        if isinstance(node, Coords):
+            v = arr[:, list(node.indices)]
+        elif isinstance(node, Const):
+            v = np.broadcast_to(np.asarray(node.values, dtype=float),
+                                (len(arr), len(node.values))).copy()
+        elif isinstance(node, Affine):
+            v = args[0] @ np.asarray(node.matrix, dtype=float).T + \
+                np.asarray(node.bias, dtype=float)
+        elif isinstance(node, Activation):
+            v = ACTIVATIONS[node.name].fn(args[0])
+        else:
+            v = args[0]
+            for a in args[1:]:
+                v = node._ufunc(v, a)
+        vals[id(node)] = v
+    out = vals[id(section.body)]
+    return out[0] if single else out
+
+
+def random_dag(seed: int, dim: int = 6) -> Section:
+    """A seeded DAG of Coords (runs and scattered indices), Const,
+    Affine, identity/tanh Activation, Sum and Product nodes, with shared
+    nodes; its body is the last node built."""
+    rng = np.random.default_rng(seed)
+    pool: list[tuple[Node, int]] = []
+    for step in range(int(rng.integers(1, 12))):
+        kind = int(rng.integers(2 if step == 0 else 6))
+        w = int(rng.integers(1, dim + 1))
+        if kind == 0:
+            lo = int(rng.integers(0, dim - w + 1))
+            idx = range(lo, lo + w) if rng.random() < 0.5 else \
+                rng.integers(0, dim, size=w)
+            node = Coords(tuple(int(i) for i in idx))
+        elif kind == 1:
+            node = Const(tuple(rng.standard_normal(w)))
+        else:
+            child, cw = pool[int(rng.integers(len(pool)))]
+            if kind == 2:
+                node = Affine(tuple(map(tuple, rng.standard_normal((w, cw)))),
+                              tuple(rng.standard_normal(w)), child)
+            elif kind == 3:
+                node, w = Activation(("identity", "tanh")[step % 2], child), cw
+            else:
+                same = [n for n, nw in pool if nw == cw]
+                picks = rng.integers(len(same), size=int(rng.integers(1, 4)))
+                node, w = (Sum, Product)[kind - 4](tuple(same[i] for i in picks)), cw
+        pool.append((node, w))
+    body, width = pool[-1]
+    return Section(domain_dim=dim, codomain_dim=width, body=body)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("start", range(0, 400, 100))
+def test_array_leaves_evaluate_as_the_tuple_route_bit_for_bit(start):
+    rng = np.random.default_rng(start)
+    wide = rng.standard_normal((9, 11))
+    for seed in range(start, start + 100):
+        sec = random_dag(seed)
+        for y in (wide[:, :6], wide[:, 3:9], wide[4, 2:8],
+                  np.ascontiguousarray(wide[:, 5:])):
+            assert same_bits(evaluate(sec, y), tuple_route_evaluate(sec, y))
+
+
+def test_leaf_arrays_are_read_only():
+    aff = Affine(((1.0, 2.0), (3.0, 4.0)), (0.5, -0.5), Coords((0, 1)))
+    const = Const((1.0, 2.0))
+    scattered = Coords((2, 0))
+    for arr in (aff._matrix_t, aff._bias, const._values, scattered._at):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    assert np.array_equal(aff._matrix_t, [[1.0, 3.0], [2.0, 4.0]])
+    assert Coords((1, 2, 3))._at == slice(1, 4)
+    assert Coords(())._at == slice(0, 0)
+    assert not isinstance(Coords((1, 3))._at, slice)
+    # a rewrite shares its leaves' arrays
+    sec = Section(domain_dim=2, codomain_dim=2, body=aff)
+    moved = compose_coord(sec, CoordMap(None, 3, (1, 2)))
+    assert moved.body._matrix_t is aff._matrix_t
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_json_round_trip_writes_only_the_node_fields(seed):
+    sec = random_dag(seed)
+    doc = section_to_json(sec)
+    back = section_from_json(json.loads(json.dumps(doc)))
+    assert section_to_json(back) == doc
+    assert all(not key.startswith("_") for e in doc["nodes"] for key in e)
+    y = np.random.default_rng(seed).standard_normal((5, 6))
+    assert same_bits(evaluate(back, y), evaluate(sec, y))
+
+
+@pytest.mark.parametrize("body,width", [
+    (Coords((0, 1, 2)), 3), (Coords((1,)), 1), (Coords((2, 0)), 2),
+    (Activation("identity", Coords((1, 2))), 2), (Sum((Coords((0, 1)),)), 2),
+    (Max((Activation("identity", Coords((0, 1))),)), 2),
+], ids=repr)
+def test_evaluate_never_returns_memory_of_its_input(body, width):
+    sec = Section(domain_dim=3, codomain_dim=width, body=body)
+    wide = np.arange(20.0).reshape(4, 5)
+    for y in (wide[:, :3], wide[:, 1:4], wide[2, :3], np.arange(3.0),
+              np.asfortranarray(wide[:, 2:])):
+        before = y.copy()
+        out = evaluate(sec, y)
+        assert not np.shares_memory(out, y)
+        out[...] = -1.0
+        assert np.array_equal(y, before)

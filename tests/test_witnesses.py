@@ -1,6 +1,7 @@
 """Witness constructions: locality, surjectivity, gluing, kernel, attacks."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +11,15 @@ from coversheaf._linalg import nullspace_basis
 from coversheaf.cech import cech_cohomology, sheaf_axiom_check
 from coversheaf.topology import (CoverSequence, MarkedSpace, OpenSet,
                                  global_stage, make_cover, singleton_stage)
-from coversheaf.sections import (affine_section, compose_coord, evaluate,
+from coversheaf.sections import (ACTIVATIONS, affine_section, compose_coord,
+                                 constant_section, evaluate,
                                  polynomial_coefficients, polynomial_section,
-                                 product_counterexample, slot_layout,
-                                 zero_pad_map)
+                                 product_counterexample, sections_equal,
+                                 slot_layout, zero_pad_map, zero_section)
 from coversheaf.network import (InclusionLayer, Network, build_attention,
                                 build_cnn, build_sequential, forward,
                                 network_from_json)
+from coversheaf import witnesses
 from coversheaf.witnesses import (AttackSpec, IncompatibleLocalsError,
                                   KernelPremiseError, WitnessReport,
                                   adversarial_attack, classify_activation,
@@ -572,6 +575,14 @@ CHECKS_NOTHING = [
     *[("tol", lambda c, t=t: adversarial_attack(
         network_from_json("fixtures/sumpool.json"), 0, tol=t))
       for t in (-1e-9, NAN, INF)],
+    # two locals that disagree on every overlap would glue unchecked
+    ("n_samples", lambda c: glue_inclusion_exclusion(
+        [constant_section(2, [float(i)]) for i in range(3)], c, n_samples=0)),
+    ("tol", lambda c: glue_report(c, tol=-1.0)),
+    *[(f, lambda c, kw=kw: sections_equal(zero_section(1, 1), zero_section(1, 1), **kw))
+      for f, kw in (("n_samples", {"n_samples": 0}), ("tol", {"tol": NAN}),
+                    ("tol", {"tol": INF}))],
+    ("count", lambda c: probe_points(7, 0)),
 ]
 
 
@@ -581,6 +592,48 @@ def test_library_claims_reject_counts_that_check_nothing(field, call):
     ValueError naming the argument, before any verdict."""
     with pytest.raises(ValueError, match=f"^{field} must be"):
         call(triangle_cover())
+
+
+def one_shot_probe(dim: int, count: int, seed: int) -> np.ndarray:
+    """The probe as one array: a meshgrid, or one uniform draw."""
+    if dim <= 6:
+        r = max(2, math.ceil(count ** (1.0 / dim)))
+        mesh = np.meshgrid(*[np.linspace(-3.0, 3.0, r)] * dim, indexing="ij")
+        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+    return np.random.default_rng(seed).uniform(-3.0, 3.0, size=(count, dim))
+
+
+@pytest.mark.parametrize("dim,count", [(1, 5), (2, 10), (3, 2500), (6, 5000),
+                                       (7, 10), (12, 1024), (12, 2500)])
+def test_probe_points_equal_the_one_shot_probe(dim, count):
+    assert np.array_equal(probe_points(dim, count, seed=4),
+                          one_shot_probe(dim, count, 4))
+
+
+@pytest.mark.parametrize("net,grid", [
+    (build_cnn(2, seed=5), 2500),                      # uniform draws, dim 12
+    (build_sequential(4, "rnn", seed=3), 10_000),      # mesh, dim 4
+    (build_sequential(3, "rnn", activation="relu", seed=1), 3000),
+], ids=["cnn2-random", "rnn4-mesh", "rnn3-relu-mesh"])
+def test_streamed_probe_matches_one_shot_forward(net, grid, monkeypatch):
+    """The report equals the one probed through one forward call, and
+    no forward call sees more than 1,024 rows."""
+    target = ACTIVATIONS[net.layers[-1].activation].unreachable_value
+    pts = one_shot_probe(net.input_dim, grid, 2)
+    outs = forward(net, pts).output
+    gap = float(np.min(np.max(np.abs(outs - target), axis=1)))
+    rows = []
+
+    def spy(net, x, *args, **kwargs):
+        rows.append(len(x))
+        return forward(net, x, *args, **kwargs)
+
+    monkeypatch.setattr(witnesses, "forward", spy)
+    rep = dataset_dependency(net, grid_points=grid, seed=2)
+    assert rep.verdict is (gap > 1e-6)
+    assert rep.measured == {"branch": "not_surjective", "target_value": target,
+                            "min_gap_to_target": gap, "probe_count": len(pts)}
+    assert max(rows) <= 1024 and sum(rows) == len(pts) and len(rows) > 1
 
 
 def test_dataset_dependency_rejects_empty_probe():
