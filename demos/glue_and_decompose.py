@@ -9,9 +9,9 @@ with exact rational coefficients throughout.
 
 from fractions import Fraction
 
-from coversheaf.sections import (compose_coord, open_set_dim,
-                                 polynomial_coefficients, polynomial_section,
-                                 sections_equal, zero_pad_map)
+from coversheaf.sections import (compose_coord, polynomial_coefficients,
+                                 polynomial_section, sections_equal,
+                                 zero_pad_map)
 from coversheaf.topology import MarkedSpace, OpenSet, make_cover
 from coversheaf.witnesses import (cosheaf_kernel_decompose,
                                   glue_inclusion_exclusion)
@@ -25,7 +25,7 @@ def main() -> None:
 
     # hidden: f(y) = y1*y2 + 3*y3, never shown to the gluing code
     hidden = polynomial_section(3, 1, [{(1, 1, 0): Fraction(1),
-                                        (0, 0, 1): Fraction(3)}], domain=U)
+                                        (0, 0, 1): Fraction(3)}])
     locals_ = [compose_coord(hidden, zero_pad_map(fibers, el, U))
                for el in cover.elements]
     glued = glue_inclusion_exclusion(locals_, cover)
@@ -35,15 +35,14 @@ def main() -> None:
 
     # zero-sum family: +y2 on the first element, -y2 on the second
     chain = make_cover(space, [[1, 2], [2, 3]])
-    f0 = polynomial_section(2, 1, [{(0, 1): Fraction(1)}],
-                            domain=chain.elements[0])
-    f1 = polynomial_section(2, 1, [{(1, 0): Fraction(-1)}],
-                            domain=chain.elements[1])
+    f0 = polynomial_section(2, 1, [{(0, 1): Fraction(1)}])
+    f1 = polynomial_section(2, 1, [{(1, 0): Fraction(-1)}])
     family = cosheaf_kernel_decompose([f0, f1], chain)
+    mems = chain.memberships()
     print("\npairwise decomposition of the zero-sum family:")
     for (a, b), sec in sorted(family.items()):
         coeffs = polynomial_coefficients(sec)[0]
-        where = sorted(sec.domain.members)
+        where = sorted(mems[a] & mems[b])
         print(f"  f[{a},{b}] on points {where}: {dict(coeffs)}")
     anti = all(
         polynomial_coefficients(family[(b, a)])[0]

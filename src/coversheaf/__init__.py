@@ -33,8 +33,7 @@ from .witnesses import (AttackSpec, IncompatibleLocalsError,
                         glue_inclusion_exclusion, glue_report,
                         indistinguishability_report, kernel_report,
                         locality_witness, multi_mixed_difference,
-                        pooled_collision, probe_points,
-                        surjectivity_witness)
+                        pooled_collision, surjectivity_witness)
 from .graphs import (ComparisonResult, Graph, WLColoring, compare_graphs,
                      cycle_graph, disjoint_union, load_graph, path_graph,
                      unfolding_codes, wl_equals_unfolding, wl_refine)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -25,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .topology import (CoverSequence, MarkedSpace, check_na_axioms,
-                       global_stage, load_space_document, make_cover,
-                       singleton_stage)
+from .topology import (CoverSequence, MarkedSpace, _at_least,
+                       check_na_axioms, global_stage, load_space_document,
+                       make_cover, singleton_stage)
 from .cech import _block_pass, hom_report_json
 from .network import (InclusionLayer, build_attention, build_cnn,
                       build_sequential, factors_check, forward,
@@ -253,24 +252,24 @@ _HANDLERS = {
 }
 
 
-def _at_least(low, kind=int):
-    """An argparse type: a finite ``kind`` value no smaller than ``low``."""
+def _arg_at_least(low, kind=int):
+    """An argparse type: a finite ``kind`` value no smaller than ``low``,
+    by the library's own range check."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}") from None
-        if not low <= value < math.inf:
-            finite = "" if kind is int else "finite and "
-            raise argparse.ArgumentTypeError(
-                f"must be {finite}at least {low}, got {value}")
-        return value
+        try:
+            return _at_least("value", value, low, kind)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
     return parse
 
 
-_COUNT = _at_least(1)
-_DEPTH = _at_least(0)
+_COUNT = _arg_at_least(1)
+_DEPTH = _arg_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the JSON report to this path")
     # only the subcommands that sample and compare take these
     checks = argparse.ArgumentParser(add_help=False, parents=[common])
-    checks.add_argument("--tol", type=_at_least(0, float), default=None,
+    checks.add_argument("--tol", type=_arg_at_least(0, float), default=None,
                         help="numerical tolerance (default 1e-9; "
                              "1e-6 for dataset dependency)")
     checks.add_argument("--samples", type=_COUNT, default=100,

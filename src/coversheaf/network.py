@@ -261,7 +261,7 @@ def composed_layer_sections(layer: InclusionLayer) -> list[Section]:
     for atuple in layer.aggregation:
         parts: list[Node] = []
         for a in atuple:
-            block = CoordMap(None, total, tuple(range(offsets[a], offsets[a + 1])))
+            block = CoordMap(total, tuple(range(offsets[a], offsets[a + 1])))
             parts.append(compose_coord(layer.phi[a], block).body)
         body: Node = parts[0] if len(parts) == 1 else Sum(tuple(parts))
         if layer.activation != "identity":

@@ -206,8 +206,6 @@ class Max(_NAry):
 class Section:
     """A map R^{domain_dim} -> R^{codomain_dim} given by an expression DAG.
 
-    ``domain`` optionally records the open set whose coordinate space
-    the domain is; it is bookkeeping only and never affects evaluation.
     ``nodes`` lists the distinct DAG nodes children first (in order of
     first visit, children left to right, so ``body`` comes last).  The
     walk that builds it checks every width and records each node's child
@@ -217,7 +215,6 @@ class Section:
     domain_dim: int
     codomain_dim: int
     body: Node
-    domain: OpenSet | None = None
     nodes: tuple[Node, ...] = field(init=False, repr=False, compare=False)
     _inputs: list[list[int]] = field(init=False, repr=False, compare=False)
     _last: list[int] = field(init=False, repr=False, compare=False)
@@ -377,10 +374,8 @@ class CoordMap:
 
     ``slots[t]`` gives the source slot feeding target slot t, or None
     for a zero fill, so the target dimension is ``len(slots)``.
-    ``source`` is the open set the source space belongs to, if any.
     """
 
-    source: OpenSet | None
     source_dim: int
     slots: tuple[int | None, ...]
 
@@ -394,7 +389,7 @@ def coord_map(fibers: Sequence[int], source: OpenSet, target: OpenSet,
     slots: list[int | None] = []
     for p in sorted(target.members):
         slots.extend(at[p] if p in read else [None] * fibers[p - 1])
-    return CoordMap(source, open_set_dim(source.members, fibers), tuple(slots))
+    return CoordMap(open_set_dim(source.members, fibers), tuple(slots))
 
 
 def projection_map(fibers: Sequence[int], big: OpenSet, small: OpenSet) -> CoordMap:
@@ -437,7 +432,7 @@ def compose_coord(section: Section, cmap: CoordMap) -> Section:
     """Precompose a section with a coordinate map (section o cmap).
 
     Requires the map's target dimension to equal the section's domain
-    dimension.  The result lives over the map's source open set.
+    dimension; the result reads the map's source coordinates.
     Composition is performed by rewriting coordinate references, so the
     DAG does not grow in depth.
     """
@@ -447,27 +442,24 @@ def compose_coord(section: Section, cmap: CoordMap) -> Section:
             f"section domain dim {section.domain_dim}")
     body = _rewrite(section, cmap.slots)
     return Section(domain_dim=cmap.source_dim,
-                   codomain_dim=section.codomain_dim,
-                   body=body, domain=cmap.source)
+                   codomain_dim=section.codomain_dim, body=body)
 
 
 # ---------------------------------------------------------------------------
 # constructions
 
 
-def affine_section(matrix, bias=None, domain: OpenSet | None = None) -> Section:
+def affine_section(matrix, bias=None) -> Section:
     # entries reach Affine as given, so it converts and checks them
     m = np.atleast_2d(np.asarray(matrix, dtype=object))
     b = (0.0,) * m.shape[0] if bias is None else bias
     body = Affine(tuple(map(tuple, m)), b, Coords(tuple(range(m.shape[1]))))
-    return Section(domain_dim=m.shape[1], codomain_dim=m.shape[0],
-                   body=body, domain=domain)
+    return Section(domain_dim=m.shape[1], codomain_dim=m.shape[0], body=body)
 
 
-def constant_section(domain_dim: int, values, domain: OpenSet | None = None) -> Section:
+def constant_section(domain_dim: int, values) -> Section:
     vals = tuple(np.atleast_1d(np.asarray(values, dtype=float)))
-    return Section(domain_dim=domain_dim, codomain_dim=len(vals),
-                   body=Const(vals), domain=domain)
+    return Section(domain_dim=domain_dim, codomain_dim=len(vals), body=Const(vals))
 
 
 def product_counterexample(U: OpenSet, fibers: Sequence[int], k: int) -> Section:
@@ -483,7 +475,7 @@ def product_counterexample(U: OpenSet, fibers: Sequence[int], k: int) -> Section
         raise ValueError("product counterexample needs at least 2 coordinates")
     prod = Product(tuple(Coords((i,)) for i in range(d)))
     body = Affine(tuple((1.0,) for _ in range(k)), (0.0,) * k, prod)
-    return Section(domain_dim=d, codomain_dim=k, body=body, domain=U)
+    return Section(domain_dim=d, codomain_dim=k, body=body)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +506,8 @@ def sections_equal(a: Section, b: Section, n_samples: int = 100,
     return EqualityResult(equal=dev <= tol, max_deviation=dev)
 
 
-def zero_section(domain_dim: int, codomain_dim: int,
-                 domain: OpenSet | None = None) -> Section:
-    return constant_section(domain_dim, [0.0] * codomain_dim, domain=domain)
+def zero_section(domain_dim: int, codomain_dim: int) -> Section:
+    return constant_section(domain_dim, [0.0] * codomain_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +579,7 @@ def polynomial_coefficients(section: Section) -> list[dict[Monomial, Fraction]]:
 
 
 def polynomial_section(domain_dim: int, codomain_dim: int,
-                       coeffs: Sequence[dict[Monomial, Fraction]],
-                       domain: OpenSet | None = None) -> Section:
+                       coeffs: Sequence[dict[Monomial, Fraction]]) -> Section:
     """Rebuild a Section from per-output monomial coefficient dicts.
 
     Node parameters are floats, so coefficients must be dyadic to
@@ -602,7 +592,7 @@ def polynomial_section(domain_dim: int, codomain_dim: int,
         raise ValueError("one coefficient dict per output required")
     monomials = sorted({m for c in coeffs for m in c})
     if not monomials:
-        return zero_section(domain_dim, codomain_dim, domain=domain)
+        return zero_section(domain_dim, codomain_dim)
     terms: list[Node] = []
     for mono in monomials:
         col = tuple(float(coeffs[s].get(mono, 0)) for s in range(codomain_dim))
@@ -615,8 +605,7 @@ def polynomial_section(domain_dim: int, codomain_dim: int,
         else:
             terms.append(Const(col))
     body: Node = terms[0] if len(terms) == 1 else Sum(tuple(terms))
-    return Section(domain_dim=domain_dim, codomain_dim=codomain_dim,
-                   body=body, domain=domain)
+    return Section(domain_dim=domain_dim, codomain_dim=codomain_dim, body=body)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +638,7 @@ def section_to_json(section: Section) -> dict:
             "root": len(nodes) - 1, "nodes": nodes}
 
 
-def section_from_json(obj: dict, domain: OpenSet | None = None) -> Section:
+def section_from_json(obj: dict) -> Section:
     """Load what section_to_json writes.  Ids, references, indices and dims
     are integers, and a reference names an earlier node (else ValueError)."""
     if isinstance(obj, str):
@@ -677,4 +666,4 @@ def section_from_json(obj: dict, domain: OpenSet | None = None) -> Section:
         built[_json_int(entry["id"], "id")] = node
     return Section(domain_dim=_json_int(obj["domain_dim"], "domain_dim"),
                    codomain_dim=_json_int(obj["codomain_dim"], "codomain_dim"),
-                   body=ref(obj["root"], "root"), domain=domain)
+                   body=ref(obj["root"], "root"))

@@ -112,12 +112,11 @@ class Cover:
         return tuple(el.members for el in self.elements)
 
 
-def make_cover(space: MarkedSpace, memberships: Sequence[Iterable[int]],
-               prefix: str = "U") -> Cover:
+def make_cover(space: MarkedSpace, memberships: Sequence[Iterable[int]]) -> Cover:
     """Build a cover with positional element ids (deterministic output)."""
     if len(memberships) == 0:
         raise ValueError("empty element list")
-    els = tuple(OpenSet(id=f"{prefix}{i}", members=frozenset(m))
+    els = tuple(OpenSet(id=f"U{i}", members=frozenset(m))
                 for i, m in enumerate(memberships))
     return Cover(space=space, elements=els)
 
@@ -349,9 +348,9 @@ def space_from_json(obj) -> MarkedSpace:
     try:
         n = _json_int(obj["n_points"], "n_points")
         fibers = tuple(_json_int(x, "fiber_dims") for x in obj["fiber_dims"])
+        structure = structure_from_json(obj.get("structure", {"kind": "abstract"}))
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed space document: {e}") from e
-    structure = structure_from_json(obj.get("structure", {"kind": "abstract"}))
     return MarkedSpace(n_points=n, fiber_dims=fibers, structure=structure)
 
 

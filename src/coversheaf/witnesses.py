@@ -90,9 +90,8 @@ def locality_witness(cover: Cover, fibers: Sequence[int], k: int,
     ones = np.ones(d_U)
     h_ones = float(np.max(np.abs(evaluate(h, ones))))
 
-    g = affine_section(np.ones((k, d_U)), domain=U)
-    gh = Section(domain_dim=d_U, codomain_dim=k,
-                 body=Sum((g.body, h.body)), domain=U)
+    g = affine_section(np.ones((k, d_U)))
+    gh = Section(domain_dim=d_U, codomain_dim=k, body=Sum((g.body, h.body)))
     pair_devs = []
     for el in cover.elements:
         pad = zero_pad_map(fibers, el, U)
@@ -168,13 +167,12 @@ def exact_mixed_difference(coeffs: Sequence[dict[tuple[int, ...], Fraction]],
     return out
 
 
-def _seeded_polynomial(domain_dim: int, k: int, rng, max_degree: int = 2,
-                       n_terms: int = 3) -> Section:
-    """A random polynomial section with small integer coefficients."""
+def _seeded_polynomial(domain_dim: int, k: int, rng) -> Section:
+    """Three random monomials of degree <= 2, small integer coefficients."""
     coeffs = [dict() for _ in range(k)]
-    for _ in range(n_terms):
+    for _ in range(3):
         mono = [0] * domain_dim
-        for _ in range(int(rng.integers(0, max_degree + 1))):
+        for _ in range(int(rng.integers(0, 3))):
             mono[int(rng.integers(0, domain_dim))] += 1
         key = tuple(mono)
         for s in range(k):
@@ -348,8 +346,7 @@ def glue_inclusion_exclusion(locals_: Sequence[Section], cover: Cover,
                                 for i in range(k)), (0.0,) * k, term)
         terms.append(term)
     body = terms[0] if len(terms) == 1 else Sum(tuple(terms))
-    return Section(domain_dim=open_set_dim(U.members, fibers), codomain_dim=k,
-                   body=body, domain=U)
+    return Section(domain_dim=open_set_dim(U.members, fibers), codomain_dim=k, body=body)
 
 
 def glue_report(cover: Cover, k: int = 1, tol: float = 1e-9,
@@ -387,10 +384,8 @@ def glue_report(cover: Cover, k: int = 1, tol: float = 1e-9,
     if overlap_pair is not None:
         i, _ = overlap_pair
         bumped = list(locals_)
-        bumped[i] = Section(
-            domain_dim=locals_[i].domain_dim, codomain_dim=k,
-            body=Sum((locals_[i].body, Const((1.0,) * k))),
-            domain=locals_[i].domain)
+        bumped[i] = Section(domain_dim=locals_[i].domain_dim, codomain_dim=k,
+                            body=Sum((locals_[i].body, Const((1.0,) * k))))
         try:
             glue_inclusion_exclusion(bumped, cover, tol=tol,
                                      n_samples=n_samples, seed=seed)
@@ -484,9 +479,8 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
     # takes f[(a, b)] off element a and f[(b, a)] = -f[(a, b)] off b
     out: dict[tuple[int, int], Section] = {}
     for (a, b), pair_parts in parts.items():
-        overlap = OpenSet(id=f"overlap{a}.{b}", members=mems[a] & mems[b])
-        layout = slot_layout(overlap.members, fibers)
-        d = open_set_dim(overlap.members, fibers)
+        layout = slot_layout(mems[a] & mems[b], fibers)
+        d = open_set_dim(mems[a] & mems[b], fibers)
         coeffs: list[dict[tuple, Fraction]] = [dict() for _ in range(k)]
         for key, vec in pair_parts:
             mono = [0] * d
@@ -497,9 +491,9 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
                     coeffs[s][tuple(mono)] = c
                     _accumulate(left, (a, key, s), -c)
                     _accumulate(left, (b, key, s), c)
-        out[(a, b)] = polynomial_section(d, k, coeffs, domain=overlap)
+        out[(a, b)] = polynomial_section(d, k, coeffs)
         neg = [{m: -c for m, c in per.items()} for per in coeffs]
-        out[(b, a)] = polynomial_section(d, k, neg, domain=overlap)
+        out[(b, a)] = polynomial_section(d, k, neg)
     if left:
         raise KernelPremiseError("internal reconstruction mismatch at "
                                  f"element {min(a for a, _, _ in left)}")
@@ -542,7 +536,7 @@ def kernel_report(cover: Cover, k: int = 1, seed: int = 0) -> WitnessReport:
             for s in range(k):
                 for mono, c in ext_coeffs[s].items():
                     _accumulate(acc[s], mono, sign * c)
-        locals_.append(polynomial_section(d_a, k, acc, domain=cover.elements[a]))
+        locals_.append(polynomial_section(d_a, k, acc))
 
     try:
         family = cosheaf_kernel_decompose(locals_, cover)
@@ -676,12 +670,12 @@ def _offset_layer(layer: InclusionLayer,
                   offsets: Sequence[Sequence[float]]) -> InclusionLayer:
     return replace(layer, phi=tuple(
         Section(domain_dim=s.domain_dim, codomain_dim=s.codomain_dim,
-                body=Sum((s.body, Const(tuple(off)))), domain=s.domain)
+                body=Sum((s.body, Const(tuple(off)))))
         for s, off in zip(layer.phi, offsets)))
 
 
 def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
-                       delta: float = 1.0, seed: int = 0, n_inputs: int = 20,
+                       delta: float = 1.0, seed: int = 0,
                        tol: float = 1e-9) -> tuple[AttackSpec, WitnessReport]:
     """Build and verify a zero-sum perturbation of one aggregation layer.
 
@@ -692,7 +686,7 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     null space of the input/output incidence map, scaled by a power of
     two until its p-displacement exceeds delta.
 
-    Verification runs one seeded batch of ``n_inputs`` random inputs
+    Verification runs one seeded batch of 20 random inputs
     through the clean and the perturbed network, both traced: final
     outputs must agree within tol while the pre-aggregation values the
     two networks computed move by exactly the stated displacement
@@ -700,10 +694,10 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     displacements are max * (sum (|v|/max)^p)^(1/p).
 
     Raises ValueError for a layer index out of range, p below 1 or not
-    finite, delta not finite or not positive, n_inputs below 1, tol
-    negative or not finite, and a delta whose offsets are too large for
-    floats to verify: a check that fails while adjacent floats at the
-    largest offset lie more than 1e-9 apart.
+    finite, delta not finite or not positive, tol negative or not
+    finite, and a delta whose offsets are too large for floats to
+    verify: a check that fails while adjacent floats at the largest
+    offset lie more than 1e-9 apart.
     """
     if not 0 <= layer_index < len(net.layers):
         raise ValueError(f"layer index {layer_index} is out of range for a "
@@ -712,7 +706,7 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
         raise ValueError(f"p must be a finite number >= 1, got {p}")
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be finite and positive, got {delta}")
-    n_inputs, tol = _at_least("n_inputs", n_inputs), _at_least("tol", tol, 0, float)
+    tol = _at_least("tol", tol, 0, float)
     layer = net.layers[layer_index]
     if not isinstance(layer, InclusionLayer):
         raise ValueError("the attacked layer must factor through inclusions")
@@ -773,7 +767,7 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     pert_net = Network(space=net.space, sequence=net.sequence,
                        layers=tuple(perturbed_layers))
 
-    xs = rng.standard_normal((n_inputs, net.input_dim))
+    xs = rng.standard_normal((20, net.input_dim))
     clean: ForwardResult = forward(net, xs, trace=True)
     pert: ForwardResult = forward(pert_net, xs, trace=True)
     out_gap = float(np.max(np.abs(clean.output - pert.output)))
@@ -781,14 +775,14 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     moves = [np.abs(after - before) for after, before in
              zip(pert.pre[layer_index], clean.pre[layer_index])]
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.zeros(n_inputs)
+        total = np.zeros(len(xs))
         for d in moves:
             total += np.sum(d ** p, axis=1)
         measured = total ** (1.0 / p)
         if not np.all(np.isfinite(measured)):
             top = np.max([np.max(d, axis=1) for d in moves], axis=0)
             top[top == 0] = 1.0
-            total = np.zeros(n_inputs)
+            total = np.zeros(len(xs))
             for d in moves:
                 total += np.sum((d / top[:, None]) ** p, axis=1)
             measured = top * total ** (1.0 / p)
@@ -804,7 +798,7 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     report = WitnessReport(
         claim="thm4.2", verdict=verdict, seed=seed,
         inputs={"layer_index": layer_index, "p": p, "delta": delta,
-                "n_inputs": n_inputs, "tol": tol},
+                "n_inputs": len(xs), "tol": tol},
         measured={"null_space_dim": len(basis), "displacement": formula,
                   "zero_sum_exact": zero_sum, "max_output_gap": out_gap,
                   "max_displacement_gap": disp_gap,
@@ -829,32 +823,25 @@ def classify_activation(name: str) -> str:
 
 
 _PROBE_BLOCK = 1024  # rows per probe block, so a probe's memory stays flat
+_PROBE_BOUND = 3.0  # the probe fills the cube [-_PROBE_BOUND, _PROBE_BOUND]^dim
 
 
-def _probe_blocks(dim: int, count: int, seed: int, bound: float):
-    """``probe_points``'s rows in order, in blocks of at most _PROBE_BLOCK."""
+def _probe_blocks(dim: int, count: int, seed: int):
+    """At least ``count`` rows in blocks of at most _PROBE_BLOCK: a true
+    mesh grid in low dimension, else seeded uniform samples."""
     if dim <= 6:  # the mesh's flat row indices, last axis fastest
         r = max(2, math.ceil(count ** (1.0 / dim)))
-        axis, count = np.linspace(-bound, bound, r), r ** dim
+        axis, count = np.linspace(-_PROBE_BOUND, _PROBE_BOUND, r), r ** dim
         rows = lambda flat: axis[np.stack(np.unravel_index(flat, (r,) * dim), 1)]
     else:
         rng = np.random.default_rng(seed)
-        rows = lambda flat: rng.uniform(-bound, bound, size=(len(flat), dim))
+        rows = lambda flat: rng.uniform(-_PROBE_BOUND, _PROBE_BOUND, (len(flat), dim))
     for start in range(0, count, _PROBE_BLOCK):
         yield rows(np.arange(start, min(start + _PROBE_BLOCK, count)))
 
 
-def probe_points(dim: int, count: int, seed: int = 0,
-                 bound: float = 3.0) -> np.ndarray:
-    """A deterministic probe set of at least ``count`` points: a true
-    mesh grid in low dimension, else seeded uniform samples."""
-    count = _at_least("count", count)
-    return np.concatenate(list(_probe_blocks(dim, count, seed, bound)))
-
-
 def dataset_dependency(net: Network, grid_points: int = 10_000,
-                       tol: float = 1e-6, seed: int = 0,
-                       bound: float = 3.0) -> WitnessReport:
+                       tol: float = 1e-6, seed: int = 0) -> WitnessReport:
     """Exhibit a global section the network can never output.
 
     For a bounded (non-surjective) final activation the constant
@@ -877,7 +864,7 @@ def dataset_dependency(net: Network, grid_points: int = 10_000,
     if branch == "not_surjective":
         target = float(info.unreachable_value)
         gap, count = np.inf, 0  # the probe streams through forward
-        for pts in _probe_blocks(net.input_dim, grid_points, seed, bound):
+        for pts in _probe_blocks(net.input_dim, grid_points, seed):
             dist = np.max(np.abs(forward(net, pts).output - target), axis=1)
             gap, count = np.minimum(gap, dist.min()), count + len(pts)
         verdict = bool(gap > tol)

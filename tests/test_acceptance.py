@@ -148,7 +148,7 @@ def _glue_pool():
             if 2 <= len(cover.elements) <= 5]
 
 
-def _random_polynomial(rng, d, k, domain):
+def _random_polynomial(rng, d, k):
     coeffs = [dict() for _ in range(k)]
     for _ in range(4):
         mono = [0] * d
@@ -159,13 +159,12 @@ def _random_polynomial(rng, d, k, domain):
             for s in range(k):
                 key = tuple(mono)
                 coeffs[s][key] = coeffs[s].get(key, Fraction(0)) + c + s
-    return polynomial_section(d, k, coeffs, domain=domain)
+    return polynomial_section(d, k, coeffs)
 
 
 def _bumped(sec: Section, k: int) -> Section:
     return Section(domain_dim=sec.domain_dim, codomain_dim=k,
-                   body=Sum((sec.body, Const((1.0,) * k))),
-                   domain=sec.domain)
+                   body=Sum((sec.body, Const((1.0,) * k))))
 
 
 def test_inclusion_exclusion_gluing_round_trip():
@@ -180,9 +179,9 @@ def test_inclusion_exclusion_gluing_round_trip():
         if seed % 2 == 0:  # alternate linear and polynomial families
             hidden = affine_section(
                 rng.integers(-3, 4, size=(k, d_U)).astype(float),
-                bias=rng.integers(-3, 4, size=k).astype(float), domain=U)
+                bias=rng.integers(-3, 4, size=k).astype(float))
         else:
-            hidden = _random_polynomial(rng, d_U, k, U)
+            hidden = _random_polynomial(rng, d_U, k)
         locals_ = [compose_coord(hidden, zero_pad_map(fibers, el, U))
                    for el in cover.elements]
         glued = glue_inclusion_exclusion(locals_, cover, tol=GLUE_TOL,
@@ -251,13 +250,13 @@ def test_pairwise_kernel_decomposition_round_trip():
         for (i, j) in pairs:
             overlap = OpenSet(id=f"o{i}.{j}", members=mems[i] & mems[j])
             d_o = open_set_dim(overlap.members, fibers)
-            gen = _random_polynomial(rng, d_o, k, overlap)
+            gen = _random_polynomial(rng, d_o, k)
             for a, sign in ((i, 1), (j, -1)):
                 ext = compose_coord(gen, projection_map(
                     fibers, cover.elements[a], overlap))
                 _add_coeffs(acc[a], polynomial_coefficients(ext), sign)
         locals_ = [polynomial_section(open_set_dim(mems[a], fibers), k,
-                                      acc[a], domain=cover.elements[a])
+                                      acc[a])
                    for a in range(len(mems))]
 
         family = cosheaf_kernel_decompose(locals_, cover)
@@ -271,8 +270,9 @@ def test_pairwise_kernel_decomposition_round_trip():
             for (x, b), sec in family.items():
                 if x != a:
                     continue
+                overlap = OpenSet(id="o", members=mems[a] & mems[b])
                 ext = compose_coord(sec, projection_map(
-                    fibers, cover.elements[a], sec.domain))
+                    fibers, cover.elements[a], overlap))
                 _add_coeffs(rebuilt, polynomial_coefficients(ext), 1)
             assert rebuilt == acc[a]
         done += 1
@@ -289,11 +289,10 @@ def _partition_net(seed: int) -> Network:
     order = [int(p) for p in rng.permutation(n)]
     m = int(rng.integers(2, max(3, n // 2 + 1)))
     blocks = [sorted(p + 1 for p in order[i::m]) for i in range(m)]
-    out = make_cover(sp, blocks, prefix="B")
+    out = make_cover(sp, blocks)
     width = int(rng.integers(1, 3))
     phi = tuple(affine_section(rng.standard_normal((width, fibers[p])),
-                               bias=rng.standard_normal(width),
-                               domain=ins.elements[p])
+                               bias=rng.standard_normal(width))
                 for p in range(n))
     layer = InclusionLayer(
         input_cover=ins, output_cover=out,
@@ -304,8 +303,8 @@ def _partition_net(seed: int) -> Network:
     head = InclusionLayer(
         input_cover=out, output_cover=top,
         aggregation=(tuple(range(m)),),
-        phi=tuple(affine_section(rng.standard_normal((1, width)),
-                                 domain=out.elements[b]) for b in range(m)),
+        phi=tuple(affine_section(rng.standard_normal((1, width)))
+                  for _ in range(m)),
         activation="identity", out_dim=1)
     return Network(space=sp,
                    sequence=CoverSequence(space=sp, stages=(ins, out, top)),
@@ -319,8 +318,7 @@ def test_zero_sum_attacks_move_representations_not_outputs():
         layer = net.layers[0]
         for delta in (1.0, 10.0, 100.0):
             spec, rep = adversarial_attack(net, 0, p=2.0, delta=delta,
-                                           seed=idx, n_inputs=20,
-                                           tol=OUTPUT_TOL)
+                                           seed=idx, tol=OUTPUT_TOL)
             assert rep.verdict, rep.to_json()
             for atuple in layer.aggregation:
                 for s in range(len(spec.perturbations[0])):

@@ -335,6 +335,19 @@ def test_grid_with_rows_or_cols_below_1_exits_2(capsys, tmp_path):
     assert err.startswith("error: grid rows and cols") and "\n" not in err
 
 
+@pytest.mark.parametrize("structure, key", [({"kind": "grid"}, "rows"),
+                                            ({"kind": "grid", "rows": 3}, "cols")])
+def test_grid_missing_its_shape_exits_2(capsys, tmp_path, structure, key):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_cover_doc(structure=structure)))
+    code = main(["cohomology", "--cover", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err == f"error: malformed space document: '{key}'"
+
+
 def test_glue_on_a_cover_of_no_point_exits_2(capsys, tmp_path):
     path = tmp_path / "uncovered.json"
     path.write_text(json.dumps(_cover_doc(covers=[[[], []]])))

@@ -83,7 +83,7 @@ def test_constant_and_zero_sections():
 
 def test_restriction_drops_missing_points():
     # f(y1, y2, y3) = y1 + 10*y2 + 100*y3 over {1,2,3}
-    f = affine_section([[1.0, 10.0, 100.0]], domain=U_ALL)
+    f = affine_section([[1.0, 10.0, 100.0]])
     restricted = compose_coord(f, zero_pad_map(UNIT3, U_12, U_ALL))
     assert restricted.domain_dim == 2
     # the y3 slot reads the padded zero
@@ -91,7 +91,7 @@ def test_restriction_drops_missing_points():
 
 
 def test_extension_reads_through_projection():
-    g = affine_section([[1.0, -1.0]], domain=U_23)
+    g = affine_section([[1.0, -1.0]])
     ext = compose_coord(g, projection_map(UNIT3, U_ALL, U_23))
     assert ext.domain_dim == 3
     assert np.allclose(evaluate(ext, [7.0, 2.0, 5.0]), [-3.0])
@@ -101,8 +101,7 @@ def test_extension_reads_through_projection():
 @given(st.integers(0, 6))
 def test_extend_then_restrict_is_identity(seed):
     rng = np.random.default_rng(seed)
-    g = affine_section(rng.standard_normal((2, 2)), rng.standard_normal(2),
-                       domain=U_23)
+    g = affine_section(rng.standard_normal((2, 2)), rng.standard_normal(2))
     ext = compose_coord(g, projection_map(UNIT3, U_ALL, U_23))
     back = compose_coord(ext, zero_pad_map(UNIT3, U_23, U_ALL))
     res = sections_equal(back, g, n_samples=50, tol=0.0, seed=seed)
@@ -140,17 +139,14 @@ def test_mixed_difference_of_separable_sum_vanishes():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(50):
-        g1 = affine_section(rng.standard_normal((1, 1)),
-                            rng.standard_normal(1), domain=None)
-        g2 = affine_section(rng.standard_normal((1, 1)),
-                            rng.standard_normal(1), domain=None)
+        g1 = affine_section(rng.standard_normal((1, 1)), rng.standard_normal(1))
+        g2 = affine_section(rng.standard_normal((1, 1)), rng.standard_normal(1))
         u = OpenSet(id="u", members=frozenset({1, 2}))
         p1 = OpenSet(id="p1", members=frozenset({1}))
         p2 = OpenSet(id="p2", members=frozenset({2}))
         e1 = compose_coord(g1, projection_map((1, 1), u, p1))
         e2 = compose_coord(g2, projection_map((1, 1), u, p2))
-        s = Section(domain_dim=2, codomain_dim=1,
-                    body=Sum((e1.body, e2.body)), domain=u)
+        s = Section(domain_dim=2, codomain_dim=1, body=Sum((e1.body, e2.body)))
         base = rng.standard_normal(2)
         md = multi_mixed_difference(s, [0, 1], base, 1.0)
         worst = max(worst, float(np.max(np.abs(md))))
@@ -184,8 +180,7 @@ def test_polynomial_coefficients_of_product():
 
 def test_polynomial_rejects_nonpolynomial():
     s = affine_section([[1.0]])
-    relu = Section(domain_dim=1, codomain_dim=1,
-                   body=Activation("relu", s.body), domain=None)
+    relu = Section(domain_dim=1, codomain_dim=1, body=Activation("relu", s.body))
     with pytest.raises(ValueError):
         polynomial_coefficients(relu)
 
@@ -217,7 +212,7 @@ def test_activation_catalog():
 
 def test_composition_rewrites_indices_flat():
     # composing twice keeps evaluation consistent (no nesting blowup)
-    f = affine_section([[1.0, 2.0, 3.0]], domain=U_ALL)
+    f = affine_section([[1.0, 2.0, 3.0]])
     step1 = compose_coord(f, zero_pad_map(UNIT3, U_23, U_ALL))
     step2 = compose_coord(step1, projection_map(UNIT3, U_ALL, U_23))
     assert step2.domain_dim == 3
@@ -327,7 +322,7 @@ def test_deep_dag_evaluates_and_composes():
     res = compose_coord(sec, zero_pad_map(UNIT3, OpenSet("p1", frozenset({1})),
                                           U_12))
     assert evaluate(res, [4.0]).tolist() == [4.0, 4.0]
-    shifted = compose_coord(sec, CoordMap(None, 4, (1, 2)))
+    shifted = compose_coord(sec, CoordMap(4, (1, 2)))
     assert evaluate(shifted, [9.0, 1.0, 2.0, 9.0]).tolist() == [3.0, 3.0]
 
 
@@ -515,7 +510,7 @@ def test_leaf_arrays_are_read_only():
     assert not isinstance(Coords((1, 3))._at, slice)
     # a rewrite shares its leaves' arrays
     sec = Section(domain_dim=2, codomain_dim=2, body=aff)
-    moved = compose_coord(sec, CoordMap(None, 3, (1, 2)))
+    moved = compose_coord(sec, CoordMap(3, (1, 2)))
     assert moved.body._matrix_t is aff._matrix_t
 
 

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +30,7 @@ from coversheaf.witnesses import (AttackSpec, IncompatibleLocalsError,
                                   glue_inclusion_exclusion, glue_report,
                                   inclusion_exclusion_faces, kernel_report,
                                   locality_witness, multi_mixed_difference,
-                                  pooled_collision, probe_points,
-                                  surjectivity_witness)
+                                  pooled_collision, surjectivity_witness)
 from test_acceptance import _partition_net, sweep_covers
 
 TRIANGLE = [[1, 2], [2, 3], [1, 3]]
@@ -195,7 +196,7 @@ def test_glued_polynomial_is_the_visible_part_of_the_hidden_one():
                 mono[int(rng.integers(0, d_U))] += 1
             coeffs[int(rng.integers(0, k))][tuple(mono)] = \
                 Fraction(int(rng.integers(1, 8)), 4)
-        hidden = polynomial_section(d_U, k, coeffs, domain=U)
+        hidden = polynomial_section(d_U, k, coeffs)
         locals_ = [compose_coord(hidden, zero_pad_map(fibers, el, U))
                    for el in cover.elements]
         glued = glue_inclusion_exclusion(locals_, cover)
@@ -211,8 +212,7 @@ def test_glued_polynomial_is_the_visible_part_of_the_hidden_one():
 @pytest.mark.parametrize("m", [11, 24])
 def test_glue_needs_one_term_per_distinct_face(m):
     cover = abstract_cover(chain(m))
-    locals_ = [affine_section(np.ones((1, 2)), domain=el)
-               for el in cover.elements]
+    locals_ = [affine_section(np.ones((1, 2))) for _ in cover.elements]
     glued = glue_inclusion_exclusion(locals_, cover)
     # m elements and m - 1 shared points; the empty face cancels
     assert len(glued.body.children) == 2 * m - 1
@@ -245,11 +245,10 @@ def test_exact_mixed_difference_matches_the_evaluated_sum():
 
 def test_glue_input_validation():
     cover = triangle_cover()
-    good = [affine_section(np.ones((1, 2)), domain=el)
-            for el in cover.elements]
+    good = [affine_section(np.ones((1, 2))) for _ in cover.elements]
     wide, narrow = list(good), list(good)
-    wide[0] = affine_section(np.ones((1, 3)), domain=cover.elements[0])
-    narrow[1] = affine_section(np.ones((1, 1)), domain=cover.elements[1])
+    wide[0] = affine_section(np.ones((1, 3)))
+    narrow[1] = affine_section(np.ones((1, 1)))
     # gluing and the kernel decomposition share one local-family check
     for fn in (glue_inclusion_exclusion, cosheaf_kernel_decompose):
         with pytest.raises(ValueError, match="one local section per cover "
@@ -273,10 +272,8 @@ def test_glue_input_validation():
 
 def test_glue_incompatible_pair_is_named():
     cover = triangle_cover()
-    locals_ = [affine_section(np.ones((1, 2)), domain=el)
-               for el in cover.elements]
-    locals_[1] = affine_section(2 * np.ones((1, 2)),
-                                domain=cover.elements[1])
+    locals_ = [affine_section(np.ones((1, 2))) for _ in cover.elements]
+    locals_[1] = affine_section(2 * np.ones((1, 2)))
     with pytest.raises(IncompatibleLocalsError) as err:
         glue_inclusion_exclusion(locals_, cover)
     assert 1 in err.value.pair
@@ -286,32 +283,37 @@ def test_kernel_decompose_worked_example():
     sp = MarkedSpace(n_points=3, fiber_dims=(1, 1, 1))
     cover = make_cover(sp, [[1, 2], [2, 3]])
     # f0 reads the shared point's coordinate, f1 negates it
-    f0 = polynomial_section(2, 1, [{(0, 1): Fraction(1)}],
-                            domain=cover.elements[0])
-    f1 = polynomial_section(2, 1, [{(1, 0): Fraction(-1)}],
-                            domain=cover.elements[1])
+    f0 = polynomial_section(2, 1, [{(0, 1): Fraction(1)}])
+    f1 = polynomial_section(2, 1, [{(1, 0): Fraction(-1)}])
     family = cosheaf_kernel_decompose([f0, f1], cover)
     assert set(family) == {(0, 1), (1, 0)}
     assert polynomial_coefficients(family[(0, 1)]) == [{(1,): Fraction(1)}]
     assert polynomial_coefficients(family[(1, 0)]) == [{(1,): Fraction(-1)}]
-    assert sorted(family[(0, 1)].domain.members) == [2]
+    assert family[(0, 1)].domain_dim == 1  # the overlap is point 2
+
+
+def test_glue_and_decompose_demo_names_each_overlap(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "glue_and_decompose.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    # lines[0] ends in a float rounding value, so it is left out
+    assert lines[-3:] == ["  f[0,1] on points [2]: {(1,): Fraction(1, 1)}",
+                          "  f[1,0] on points [2]: {(1,): Fraction(-1, 1)}",
+                          "antisymmetric: True"]
 
 
 def test_kernel_decompose_zero_family():
     sp = MarkedSpace(n_points=3, fiber_dims=(1, 1, 1))
     cover = make_cover(sp, [[1, 2], [2, 3]])
-    zeros = [polynomial_section(2, 1, [{}], domain=el)
-             for el in cover.elements]
+    zeros = [polynomial_section(2, 1, [{}]) for _ in cover.elements]
     assert cosheaf_kernel_decompose(zeros, cover) == {}
 
 
 def test_kernel_premise_rejects_nonzero_sum():
     sp = MarkedSpace(n_points=3, fiber_dims=(1, 1, 1))
     cover = make_cover(sp, [[1, 2], [2, 3]])
-    f0 = polynomial_section(2, 1, [{(0, 1): Fraction(1)}],
-                            domain=cover.elements[0])
-    f1 = polynomial_section(2, 1, [{(1, 0): Fraction(1)}],
-                            domain=cover.elements[1])
+    f0 = polynomial_section(2, 1, [{(0, 1): Fraction(1)}])
+    f1 = polynomial_section(2, 1, [{(1, 0): Fraction(1)}])
     with pytest.raises(KernelPremiseError):
         cosheaf_kernel_decompose([f0, f1], cover)
 
@@ -367,7 +369,7 @@ def test_attack_rejects_unsuitable_layers():
     {"layer_index": 2}, {"layer_index": -1},
     {"p": 0.0}, {"p": 0.5}, {"p": float("inf")}, {"p": float("nan")},
     {"delta": 0.0}, {"delta": -1.0}, {"delta": float("inf")},
-    {"delta": float("nan")}, {"n_inputs": 0},
+    {"delta": float("nan")},
 ])
 def test_attack_rejects_bad_arguments(kwargs):
     net = network_from_json("fixtures/sumpool.json")
@@ -536,6 +538,11 @@ def test_classify_activation():
     assert classify_activation("identity") == "open_bijective"
 
 
+def probe_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
+    """The thm4.3 probe as one array: its blocks, concatenated."""
+    return np.concatenate(list(witnesses._probe_blocks(dim, count, seed)))
+
+
 def test_probe_points():
     mesh = probe_points(2, 10)
     assert mesh.shape == (16, 2)
@@ -582,7 +589,6 @@ CHECKS_NOTHING = [
     *[(f, lambda c, kw=kw: sections_equal(zero_section(1, 1), zero_section(1, 1), **kw))
       for f, kw in (("n_samples", {"n_samples": 0}), ("tol", {"tol": NAN}),
                     ("tol", {"tol": INF}))],
-    ("count", lambda c: probe_points(7, 0)),
 ]
 
 
