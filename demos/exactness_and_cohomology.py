@@ -8,7 +8,7 @@ numbers are exact.
 
 from coversheaf.cech import (cech_cohomology, restriction_matrix,
                              sheaf_axiom_check)
-from coversheaf.topology import MarkedSpace, OpenSet, make_cover
+from coversheaf.topology import MarkedSpace, make_cover
 
 
 def main() -> None:
@@ -16,11 +16,11 @@ def main() -> None:
     cover = make_cover(space, [[1, 2], [2, 3], [1, 3]])
     fibers = space.fiber_dims
 
-    U = OpenSet(id="union", members=frozenset({1, 2, 3}))
+    U = frozenset({1, 2, 3})
     print("restriction of Hom(union) onto each element:")
-    for el in cover.elements:
+    for i, el in enumerate(cover.memberships):
         m = restriction_matrix(U, el, fibers, k=1)
-        print(f"  {el.id} {sorted(el.members)}: shape {m.shape}, "
+        print(f"  U{i} {sorted(el)}: shape {m.shape}, "
               f"rows select the surviving coordinates")
 
     rep = sheaf_axiom_check(cover, fibers, k=1)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from coversheaf.sections import (compose_coord, polynomial_coefficients,
                                  polynomial_section, sections_equal,
                                  zero_pad_map)
-from coversheaf.topology import MarkedSpace, OpenSet, make_cover
+from coversheaf.topology import MarkedSpace, make_cover
 from coversheaf.witnesses import (cosheaf_kernel_decompose,
                                   glue_inclusion_exclusion)
 
@@ -21,13 +21,13 @@ def main() -> None:
     space = MarkedSpace(n_points=3, fiber_dims=(1, 1, 1))
     cover = make_cover(space, [[1, 2], [2, 3], [1, 3]])
     fibers = space.fiber_dims
-    U = OpenSet(id="u", members=frozenset({1, 2, 3}))
+    U = frozenset({1, 2, 3})
 
     # hidden: f(y) = y1*y2 + 3*y3, never shown to the gluing code
     hidden = polynomial_section(3, 1, [{(1, 1, 0): Fraction(1),
                                         (0, 0, 1): Fraction(3)}])
     locals_ = [compose_coord(hidden, zero_pad_map(fibers, el, U))
-               for el in cover.elements]
+               for el in cover.memberships]
     glued = glue_inclusion_exclusion(locals_, cover)
     res = sections_equal(glued, hidden, n_samples=200, tol=1e-9, seed=1)
     print(f"glued section matches the hidden one: {res.equal} "
@@ -38,7 +38,7 @@ def main() -> None:
     f0 = polynomial_section(2, 1, [{(0, 1): Fraction(1)}])
     f1 = polynomial_section(2, 1, [{(1, 0): Fraction(-1)}])
     family = cosheaf_kernel_decompose([f0, f1], chain)
-    mems = chain.memberships()
+    mems = chain.memberships
     print("\npairwise decomposition of the zero-sum family:")
     for (a, b), sec in sorted(family.items()):
         coeffs = polynomial_coefficients(sec)[0]

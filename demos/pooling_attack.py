@@ -16,7 +16,7 @@ from coversheaf.witnesses import adversarial_attack
 def main() -> None:
     net = build_cnn(4)  # 4x4 grid, sum-pooled 2x2 blocks, dense head
     print("stage sizes:",
-          [len(c.elements) for c in net.sequence.stages])
+          [len(c.memberships) for c in net.sequence.stages])
 
     for delta in (1.0, 10.0, 100.0):
         spec, rep = adversarial_attack(net, layer_index=0, p=2.0,

@@ -9,7 +9,7 @@ unreachable targets, and unfolding-tree comparisons of graphs.
 """
 
 from .topology import (AxiomReport, Cover, CoverSequence, MarkedSpace,
-                       OpenSet, StageAxioms, check_na_axioms, global_stage,
+                       StageAxioms, check_na_axioms, global_stage,
                        load_space_document, make_cover, singleton_stage)
 from .sections import (ACTIVATIONS, Activation, Section, affine_section,
                        compose_coord, constant_section, evaluate,

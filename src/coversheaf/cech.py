@@ -37,21 +37,21 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import exact_rank
-from .topology import Cover, MarkedSpace, OpenSet, _at_least, make_cover
+from .topology import Cover, MarkedSpace, _at_least, make_cover
 from .sections import open_set_dim, projection_map
 
 
-def restriction_matrix(big: OpenSet, small: OpenSet, fibers: Sequence[int],
-                       k: int) -> np.ndarray:
+def restriction_matrix(big: frozenset[int], small: frozenset[int],
+                       fibers: Sequence[int], k: int) -> np.ndarray:
     """Matrix of Hom(R^{d_big}, R^k) -> Hom(R^{d_small}, R^k).
 
     Acts on row-major flattened matrices; it is a 0/1 column-selection
     operator of shape (k*d_small) x (k*d_big).  An empty ``small`` gives
     the unique map to the zero space (0 rows).
     """
-    if not small.members <= big.members:
+    if not small <= big:
         raise ValueError("restriction requires the small set inside the big one")
-    select = np.eye(open_set_dim(big.members, fibers), dtype=np.int64)[
+    select = np.eye(open_set_dim(big, fibers), dtype=np.int64)[
         list(projection_map(fibers, big, small).slots)]
     return np.kron(np.eye(k, dtype=np.int64), select)
 
@@ -74,7 +74,7 @@ def build_cech_complex(cover: Cover, fibers: Sequence[int], k: int,
     slots in point order.  Degrees beyond the cover size contribute zero
     spaces, so requesting a high degree is safe.
     """
-    memberships = cover.memberships()
+    memberships = cover.memberships
     index: list[dict[tuple, int]] = []
     for q in range(max_degree + 2):
         coords: dict[tuple, int] = {}
@@ -101,7 +101,7 @@ def build_cech_complex(cover: Cover, fibers: Sequence[int], k: int,
 def _point_blocks(cover: Cover, fibers: Sequence[int], k: int) -> dict[int, int]:
     """Map each multiplicity m to the sum of k * d_p over covered points p
     lying in exactly m elements of the cover."""
-    mult = Counter(p for members in cover.memberships() for p in members)
+    mult = Counter(p for members in cover.memberships for p in members)
     weights: dict[int, int] = {}
     for p, m in mult.items():
         weights[m] = weights.get(m, 0) + k * int(fibers[p - 1])
@@ -184,7 +184,7 @@ def _block_pass(cover: Cover, fibers: Sequence[int], k: int, max_degree: int
     exact_middle = composition_zero and dims[0] - ranks[0] == rank_first
     coker = dim_global - rank_ext
     report = ExactnessReport(
-        cover_id=";".join(el.id for el in cover.elements),
+        cover_id=";".join(f"U{i}" for i in range(len(cover.memberships))),
         dim_global=dim_global,
         dim_product=dims[0],
         dim_pairwise=dims[1],

@@ -78,13 +78,12 @@ def _document_cover(path: str):
 
 
 def _is_singleton_stage(cover) -> bool:
-    return cover.memberships() == tuple(
+    return cover.memberships == tuple(
         frozenset({p}) for p in cover.space.points)
 
 
 def _is_global_stage(cover) -> bool:
-    mems = cover.memberships()
-    return len(mems) == 1 and mems[0] == frozenset(cover.space.points)
+    return cover.memberships == (frozenset(cover.space.points),)
 
 
 def _factors_entries(net, samples: int, tol: float, seed: int) -> list[dict]:

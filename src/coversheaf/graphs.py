@@ -38,13 +38,14 @@ class Graph:
     labels: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _json_int(self.n, "n"))
         if self.n < 0:
             raise ValueError("node count must be nonnegative")
         norm = []
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"edge {e} needs exactly two endpoints")
-            u, v = int(e[0]), int(e[1])
+            u, v = _json_int(e[0], "edges"), _json_int(e[1], "edges")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {e} references unknown nodes")
             if u == v:
@@ -56,7 +57,7 @@ class Graph:
                 raise ValueError(f"duplicate edge {a}")
         object.__setattr__(self, "edges", tuple(norm))
         labels = self.labels if self.labels else (0,) * self.n
-        labels = tuple(int(l) for l in labels)
+        labels = tuple(_json_int(l, "labels") for l in labels)
         if len(labels) != self.n:
             raise ValueError("one label per node required")
         object.__setattr__(self, "labels", labels)
@@ -254,11 +255,8 @@ def load_graph(source) -> Graph:
         obj = json.loads(text) if stripped.startswith("{") else None
     if obj is not None:
         try:
-            return Graph(n=_json_int(obj["n"], "n"),
-                         edges=tuple(tuple(_json_int(x, "edges") for x in e)
-                                     for e in obj.get("edges", [])),
-                         labels=tuple(_json_int(x, "labels")
-                                      for x in obj.get("labels", ())))
+            return Graph(n=obj["n"], edges=tuple(obj.get("edges", [])),
+                         labels=tuple(obj.get("labels", ())))
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed graph document: {e}") from e
     edges = []

@@ -46,19 +46,19 @@ class _StagePair:
     def __post_init__(self):
         agg = tuple(tuple(a) for a in self.aggregation)
         object.__setattr__(self, "aggregation", agg)
-        if len(agg) != len(self.output_cover.elements):
+        if len(agg) != len(self.output_cover.memberships):
             raise ValueError("one aggregation list per output element required")
-        inputs = self.input_cover.elements
+        inputs = self.input_cover.memberships
         for b, atuple in enumerate(agg):
             if not atuple:
                 raise ValueError(f"output element {b} aggregates no inputs")
             if len(set(atuple)) != len(atuple):
                 raise ValueError(f"output element {b} aggregates an input twice")
-            target = self.output_cover.elements[b].members
+            target = self.output_cover.memberships[b]
             for a in atuple:
                 if not 0 <= a < len(inputs):
                     raise ValueError(f"aggregation references unknown input {a}")
-                if not inputs[a].members <= target:
+                if not inputs[a] <= target:
                     raise ValueError(
                         f"input element {a} is not contained in output element {b}")
 
@@ -74,7 +74,7 @@ class InclusionLayer(_StagePair):
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.phi) != len(self.input_cover.elements):
+        if len(self.phi) != len(self.input_cover.memberships):
             raise ValueError("one phi per input element required")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -174,7 +174,7 @@ class Network:
             for side, cover, stage in (("input", layer.input_cover, stages[i]),
                                        ("output", layer.output_cover,
                                         stages[i + 1])):
-                if cover is not stage and cover.memberships() != stage.memberships():
+                if cover is not stage and cover.memberships != stage.memberships:
                     raise ValueError(f"layer {i} {side} cover mismatch")
 
     @property
@@ -329,7 +329,7 @@ def _dense_head(rng: np.random.Generator, input_cover: Cover, output_cover: Cove
     bias on the first input only."""
     out_dim = _at_least("out_dim", out_dim)
     phis = []
-    for a in range(len(input_cover.elements)):
+    for a in range(len(input_cover.memberships)):
         w = rng.standard_normal((out_dim, in_dim)) / math.sqrt(in_dim)
         b = rng.standard_normal(out_dim) if a == 0 else np.zeros(out_dim)
         phis.append(affine_section(w, b))
@@ -381,15 +381,15 @@ def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Netw
         cur_cover, kind = stages[-1], stage["kind"]
         if kind == "conv":
             mode = None
-            new_cover = make_cover(space, cur_cover.memberships())
-            agg = [(i,) for i in range(len(cur_cover.elements))]
+            new_cover = make_cover(space, cur_cover.memberships)
+            agg = [(i,) for i in range(len(cur_cover.memberships))]
         elif kind == "pool":
             mode = stage["mode"]
             if mode not in ("sum", "max"):
                 raise ValueError(f"unknown pool mode {mode!r}")
             members, shape, agg = _block_patches(
                 shape, _at_least("block", stage.get("block", 2)),
-                cur_cover.memberships())
+                cur_cover.memberships)
             new_cover = make_cover(space, members)
         else:
             raise ValueError(f"unknown plan stage kind {kind!r}")
@@ -402,7 +402,7 @@ def build_cnn(n: int, plan: Sequence[dict] | None = None, seed: int = 0) -> Netw
             phi = affine_section(rng.standard_normal((c, dim)) / math.sqrt(dim))
             layer = InclusionLayer(
                 input_cover=cur_cover, output_cover=new_cover,
-                aggregation=agg, phi=(phi,) * len(cur_cover.elements),
+                aggregation=agg, phi=(phi,) * len(cur_cover.memberships),
                 activation=stage.get(
                     "activation", "relu" if kind == "conv" else "identity"),
                 out_dim=c)
@@ -455,7 +455,7 @@ def build_sequential(n: int, kind: str = "rnn", window: int = 2,
     seq = build_rnn_cover(n, kind, window=window)
     rng = np.random.default_rng(seed)
     s0, s1, s2 = seq.stages
-    mems1 = s1.memberships()
+    mems1 = s1.memberships
     phi0 = tuple(affine_section(rng.standard_normal((hidden, 1)))
                  for _ in range(n))
     agg1 = tuple(tuple(i for i in range(n) if (i + 1) in m) for m in mems1)
@@ -625,7 +625,7 @@ def network_to_json(net: Network) -> dict:
     return {
         "schema": 1,
         "space": space_to_json(net.space),
-        "stages": [[sorted(el.members) for el in c.elements]
+        "stages": [[sorted(m) for m in c.memberships]
                    for c in net.sequence.stages],
         "layers": layers,
     }

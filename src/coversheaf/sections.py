@@ -38,7 +38,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .topology import OpenSet, _at_least, _json_int
+from .topology import _at_least, _json_int
 
 
 # ---------------------------------------------------------------------------
@@ -380,30 +380,33 @@ class CoordMap:
     slots: tuple[int | None, ...]
 
 
-def coord_map(fibers: Sequence[int], source: OpenSet, target: OpenSet,
-              read: frozenset[int]) -> CoordMap:
-    """The map R^{d_source} -> R^{d_target} in which slot j of a target
-    point p reads slot j of p in ``source`` when p is in ``read`` (a
-    subset of ``source``), and zero otherwise."""
-    at = slot_layout(source.members, fibers)
+def coord_map(fibers: Sequence[int], source: frozenset[int],
+              target: frozenset[int], read: frozenset[int]) -> CoordMap:
+    """The map R^{d_source} -> R^{d_target} between the coordinates of
+    two member sets, in which slot j of a target point p reads slot j of
+    p in ``source`` when p is in ``read`` (a subset of ``source``), and
+    zero otherwise."""
+    at = slot_layout(source, fibers)
     slots: list[int | None] = []
-    for p in sorted(target.members):
+    for p in sorted(target):
         slots.extend(at[p] if p in read else [None] * fibers[p - 1])
-    return CoordMap(open_set_dim(source.members, fibers), tuple(slots))
+    return CoordMap(open_set_dim(source, fibers), tuple(slots))
 
 
-def projection_map(fibers: Sequence[int], big: OpenSet, small: OpenSet) -> CoordMap:
+def projection_map(fibers: Sequence[int], big: frozenset[int],
+                   small: frozenset[int]) -> CoordMap:
     """The coordinate projection R^{d_big} -> R^{d_small} (small inside big)."""
-    if not small.members <= big.members:
+    if not small <= big:
         raise ValueError("projection requires the target inside the source")
-    return coord_map(fibers, big, small, small.members)
+    return coord_map(fibers, big, small, small)
 
 
-def zero_pad_map(fibers: Sequence[int], small: OpenSet, big: OpenSet) -> CoordMap:
+def zero_pad_map(fibers: Sequence[int], small: frozenset[int],
+                 big: frozenset[int]) -> CoordMap:
     """The zero-padding inclusion R^{d_small} -> R^{d_big} (small inside big)."""
-    if not small.members <= big.members:
+    if not small <= big:
         raise ValueError("zero_pad requires the source inside the target")
-    return coord_map(fibers, small, big, small.members)
+    return coord_map(fibers, small, big, small)
 
 
 def _rewrite(section: Section, slots: tuple[int | None, ...]) -> Node:
@@ -462,15 +465,14 @@ def constant_section(domain_dim: int, values) -> Section:
     return Section(domain_dim=domain_dim, codomain_dim=len(vals), body=Const(vals))
 
 
-def product_counterexample(U: OpenSet, fibers: Sequence[int], k: int) -> Section:
-    """The section whose k outputs each equal the product of all input
-    coordinates over U.
+def product_counterexample(d: int, k: int) -> Section:
+    """The section whose k outputs each equal the product of all d input
+    coordinates, those of an open set U.
 
     It restricts to the zero section on every open subset that misses a
     marked point of U: zero-padding the missing coordinates inserts a
     zero factor into the product.
     """
-    d = open_set_dim(U.members, fibers)
     if d < 2:
         raise ValueError("product counterexample needs at least 2 coordinates")
     prod = Product(tuple(Coords((i,)) for i in range(d)))

@@ -1,12 +1,13 @@
 """Finite marked spaces, open covers and cover-sequence axioms.
 
 The model is deliberately combinatorial.  An open set is identified
-with the set of marked points it contains plus an opaque id; every
-functor in this package (skyscraper section spaces and their Hom
-variants) only sees membership, so set intersection stands in for
-topological intersection.  This is the one modelling assumption of the
-library: two covers with identical memberships are interchangeable for
-every check performed here, independent of the ambient geometry.
+with the set of marked points it contains, and element i of a cover is
+named ``U{i}`` wherever a name is printed; every functor in this
+package (skyscraper section spaces and their Hom variants) only sees
+membership, so set intersection stands in for topological
+intersection.  This is the one modelling assumption of the library:
+two covers with identical memberships are interchangeable for every
+check performed here, independent of the ambient geometry.
 
 Point indices are 1-based throughout, matching the JSON interchange
 format.
@@ -38,9 +39,11 @@ class MarkedSpace:
     structure: tuple = ("abstract",)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_points", _json_int(self.n_points, "n_points"))
         if self.n_points < 1:
             raise ValueError("a marked space needs at least one point")
-        object.__setattr__(self, "fiber_dims", tuple(int(d) for d in self.fiber_dims))
+        object.__setattr__(self, "fiber_dims", tuple(
+            _json_int(d, "fiber_dims") for d in self.fiber_dims))
         if len(self.fiber_dims) != self.n_points:
             raise ValueError("fiber_dims length must equal n_points")
         if any(d < 1 for d in self.fiber_dims):
@@ -70,55 +73,36 @@ class MarkedSpace:
 
 
 @dataclass(frozen=True)
-class OpenSet:
-    """An open set, identified by id and by the marked points it contains."""
-
-    id: str
-    members: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(p) for p in self.members))
-        if any(p < 1 for p in self.members):
-            raise ValueError("point indices are 1-based")
-
-
-@dataclass(frozen=True)
 class Cover:
-    """An ordered family of open sets over a marked space.
+    """An ordered family of open sets over a marked space, each given by
+    the 1-based marked points it contains; element i is named ``U{i}``.
 
     ``covered`` is the union of memberships; it may be a proper subset
     of the space's points (collections are not forced to cover).
     """
 
     space: MarkedSpace
-    elements: tuple[OpenSet, ...]
+    memberships: tuple[frozenset[int], ...]
     covered: frozenset[int] = field(init=False)
 
     def __post_init__(self):
-        if not self.elements:
+        if not self.memberships:
             raise ValueError("a cover needs at least one element")
-        union: set[int] = set()
-        for el in self.elements:
-            bad = [p for p in el.members if p > self.space.n_points]
+        n, mems = self.space.n_points, []
+        for i, m in enumerate(self.memberships):
+            point = f"a point of element U{i}"
+            mems.append(frozenset(_json_int(p, point) for p in m))
+            bad = sorted(p for p in mems[-1] if not 1 <= p <= n)
             if bad:
-                raise ValueError(f"element {el.id} references unknown points {bad}")
-            union |= el.members
-        object.__setattr__(self, "covered", frozenset(union))
-        ids = [el.id for el in self.elements]
-        if len(set(ids)) != len(ids):
-            raise ValueError("cover element ids must be distinct")
-
-    def memberships(self) -> tuple[frozenset[int], ...]:
-        return tuple(el.members for el in self.elements)
+                raise ValueError(f"element U{i} references unknown points {bad}"
+                                 f" (point indices are 1-based, up to {n})")
+        object.__setattr__(self, "memberships", tuple(mems))
+        object.__setattr__(self, "covered", frozenset().union(*mems))
 
 
 def make_cover(space: MarkedSpace, memberships: Sequence[Iterable[int]]) -> Cover:
-    """Build a cover with positional element ids (deterministic output)."""
-    if len(memberships) == 0:
-        raise ValueError("empty element list")
-    els = tuple(OpenSet(id=f"U{i}", members=frozenset(m))
-                for i, m in enumerate(memberships))
-    return Cover(space=space, elements=els)
+    """Build a cover from its element memberships, in order."""
+    return Cover(space=space, memberships=tuple(memberships))
 
 
 @dataclass(frozen=True)
@@ -138,10 +122,9 @@ class CoverSequence:
             raise ValueError("a cover sequence needs at least two stages")
         first = self.stages[0]
         want = [frozenset({p}) for p in self.space.points]
-        if list(first.memberships()) != want:
+        if list(first.memberships) != want:
             raise ValueError("stage 0 must consist of the point singletons in order")
-        last = self.stages[-1]
-        if len(last.elements) != 1 or last.elements[0].members != frozenset(self.space.points):
+        if self.stages[-1].memberships != (frozenset(self.space.points),):
             raise ValueError("final stage must be the single global open set")
         for c in self.stages:
             if c.space.n_points != self.space.n_points:
@@ -245,8 +228,8 @@ def check_na_axioms(seq: CoverSequence) -> AxiomReport:
     points = frozenset(seq.space.points)
     out = []
     for n in range(1, len(seq.stages)):
-        prev = seq.stages[n - 1].memberships()
-        cur = seq.stages[n].memberships()
+        prev = seq.stages[n - 1].memberships
+        cur = seq.stages[n].memberships
 
         missing = sorted(points - seq.stages[n].covered)
         locality = bool(missing)

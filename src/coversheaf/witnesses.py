@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import nullspace_basis
-from .topology import Cover, OpenSet, _at_least, _plain, proper_unions
+from .topology import Cover, _at_least, _plain, proper_unions
 from .sections import (Affine, Const, Node, Section, Sum, _accumulate,
                        affine_section, compose_coord, coord_map, evaluate,
                        open_set_dim, polynomial_coefficients,
@@ -47,15 +47,11 @@ class WitnessReport:
         return {"schema": 1, **_plain(self)}
 
 
-def _union_open(cover: Cover) -> OpenSet:
-    return OpenSet(id="union", members=cover.covered)
-
-
 def _qualifying(cover: Cover) -> None:
-    for el in cover.elements:
-        if not (cover.covered - el.members):
+    for i, m in enumerate(cover.memberships):
+        if not (cover.covered - m):
             raise ValueError(
-                f"element {el.id} contains every covered point; "
+                f"element U{i} contains every covered point; "
                 "the locality witness needs each element to miss one")
 
 
@@ -76,12 +72,12 @@ def locality_witness(cover: Cover, fibers: Sequence[int], k: int,
     """
     k, n_samples = _at_least("k", k), _at_least("n_samples", n_samples)
     _qualifying(cover)
-    U = _union_open(cover)
-    d_U = open_set_dim(U.members, fibers)
-    h = product_counterexample(U, fibers, k)
+    U = cover.covered
+    d_U = open_set_dim(U, fibers)
+    h = product_counterexample(d_U, k)
 
     restriction_devs = []
-    for el in cover.elements:
+    for el in cover.memberships:
         r = compose_coord(h, zero_pad_map(fibers, el, U))
         res = sections_equal(r, zero_section(r.domain_dim, k),
                              n_samples=n_samples, tol=0.0, seed=seed)
@@ -93,7 +89,7 @@ def locality_witness(cover: Cover, fibers: Sequence[int], k: int,
     g = affine_section(np.ones((k, d_U)))
     gh = Section(domain_dim=d_U, codomain_dim=k, body=Sum((g.body, h.body)))
     pair_devs = []
-    for el in cover.elements:
+    for el in cover.memberships:
         pad = zero_pad_map(fibers, el, U)
         res = sections_equal(compose_coord(g, pad), compose_coord(gh, pad),
                              n_samples=n_samples, tol=0.0, seed=seed)
@@ -104,7 +100,7 @@ def locality_witness(cover: Cover, fibers: Sequence[int], k: int,
                and max(pair_devs) == 0.0 and global_diff == 1.0)
     report = WitnessReport(
         claim="prop2.8-locality", verdict=verdict, seed=seed,
-        inputs={"memberships": [sorted(el.members) for el in cover.elements],
+        inputs={"memberships": [sorted(m) for m in cover.memberships],
                 "fibers": list(fibers), "k": k, "n_samples": n_samples},
         measured={"restriction_deviations": restriction_devs,
                   "h_at_ones_norm": h_ones,
@@ -199,16 +195,16 @@ def surjectivity_witness(cover: Cover, fibers: Sequence[int], k: int,
     """
     k, n_trials = _at_least("k", k), _at_least("n_trials", n_trials)
     _qualifying(cover)
-    U = _union_open(cover)
-    d_U = open_set_dim(U.members, fibers)
-    layout = slot_layout(U.members, fibers)
+    U = cover.covered
+    d_U = open_set_dim(U, fibers)
+    layout = slot_layout(U, fibers)
     probe_slots = [r[0] for r in layout.values()]
 
     # base: ones everywhere except the probed slots, so the only nonzero
     # term of the alternating sum is the all-slots-bumped product = 1
     base = np.ones(d_U)
     base[probe_slots] = 0.0
-    h = product_counterexample(U, fibers, k)
+    h = product_counterexample(d_U, k)
     target = multi_mixed_difference(h, probe_slots, base, 1.0)
     target_val = float(np.max(np.abs(target)))
 
@@ -216,8 +212,8 @@ def surjectivity_witness(cover: Cover, fibers: Sequence[int], k: int,
     worst = Fraction(0)
     for _ in range(n_trials):
         parts = []
-        for el in cover.elements:
-            d_a = open_set_dim(el.members, fibers)
+        for el in cover.memberships:
+            d_a = open_set_dim(el, fibers)
             if d_a == 0:
                 continue  # constants have zero alternating difference
             g = _seeded_polynomial(d_a, k, rng)
@@ -233,7 +229,7 @@ def surjectivity_witness(cover: Cover, fibers: Sequence[int], k: int,
     verdict = target_val == 1.0 and worst == 0
     return WitnessReport(
         claim="prop2.8-surjectivity", verdict=verdict, seed=seed,
-        inputs={"memberships": [sorted(el.members) for el in cover.elements],
+        inputs={"memberships": [sorted(m) for m in cover.memberships],
                 "fibers": list(fibers), "k": k, "n_trials": n_trials},
         measured={"product_alternating_difference": target_val,
                   "max_separable_alternating_difference": float(worst),
@@ -258,7 +254,7 @@ class IncompatibleLocalsError(ValueError):
 def _local_family(locals_: Sequence[Section], cover: Cover) -> int:
     """The codomain dimension shared by one local per cover element,
     each over its element's coordinates (else ValueError)."""
-    mems = cover.memberships()
+    mems = cover.memberships
     if len(locals_) != len(mems):
         raise ValueError("one local section per cover element required")
     ks = {s.codomain_dim for s in locals_}
@@ -318,15 +314,15 @@ def glue_inclusion_exclusion(locals_: Sequence[Section], cover: Cover,
     """
     k = _local_family(locals_, cover)
     fibers = cover.space.fiber_dims
-    mems = cover.memberships()
+    mems = cover.memberships
     n = len(mems)
 
     worst_pair = None
     worst_dev = -1.0
     for i, j in itertools.combinations(range(n), 2):
-        w = OpenSet(id=f"overlap{i}.{j}", members=mems[i] & mems[j])
-        ri = compose_coord(locals_[i], zero_pad_map(fibers, w, cover.elements[i]))
-        rj = compose_coord(locals_[j], zero_pad_map(fibers, w, cover.elements[j]))
+        w = mems[i] & mems[j]
+        ri = compose_coord(locals_[i], zero_pad_map(fibers, w, mems[i]))
+        rj = compose_coord(locals_[j], zero_pad_map(fibers, w, mems[j]))
         res = sections_equal(ri, rj, n_samples=n_samples, tol=tol, seed=seed)
         if not res.equal and res.max_deviation > worst_dev:
             worst_dev = res.max_deviation
@@ -334,19 +330,19 @@ def glue_inclusion_exclusion(locals_: Sequence[Section], cover: Cover,
     if worst_pair is not None:
         raise IncompatibleLocalsError(worst_pair, worst_dev)
 
-    U = _union_open(cover)
+    U = cover.covered
     terms: list[Node] = []
     for face, c in inclusion_exclusion_faces(mems).items():
         first = next(i for i, m in enumerate(mems) if face <= m)
         # restriction to the face, then pullback to U, as one map
-        pull = coord_map(fibers, U, cover.elements[first], face)
+        pull = coord_map(fibers, U, mems[first], face)
         term = compose_coord(locals_[first], pull).body
         if c != 1:
             term = Affine(tuple(tuple(float(c) if i == j else 0.0 for j in range(k))
                                 for i in range(k)), (0.0,) * k, term)
         terms.append(term)
     body = terms[0] if len(terms) == 1 else Sum(tuple(terms))
-    return Section(domain_dim=open_set_dim(U.members, fibers), codomain_dim=k, body=body)
+    return Section(domain_dim=open_set_dim(U, fibers), codomain_dim=k, body=body)
 
 
 def glue_report(cover: Cover, k: int = 1, tol: float = 1e-9,
@@ -361,17 +357,17 @@ def glue_report(cover: Cover, k: int = 1, tol: float = 1e-9,
     k, n_samples = _at_least("k", k), _at_least("n_samples", n_samples)
     fibers = cover.space.fiber_dims
     rng = np.random.default_rng(seed)
-    U = _union_open(cover)
-    if not U.members:
+    U, mems = cover.covered, cover.memberships
+    if not U:
         raise ValueError("nothing to glue: the cover covers no point")
-    d_U = open_set_dim(U.members, fibers)
+    d_U = open_set_dim(U, fibers)
     hidden = _seeded_polynomial(d_U, k, rng)
     locals_ = [compose_coord(hidden, zero_pad_map(fibers, el, U))
-               for el in cover.elements]
+               for el in mems]
     glued = glue_inclusion_exclusion(locals_, cover, tol=tol,
                                      n_samples=n_samples, seed=seed)
     devs = []
-    for el, loc in zip(cover.elements, locals_):
+    for el, loc in zip(mems, locals_):
         back = compose_coord(glued, zero_pad_map(fibers, el, U))
         devs.append(sections_equal(back, loc, n_samples=n_samples,
                                    tol=tol, seed=seed).max_deviation)
@@ -380,7 +376,7 @@ def glue_report(cover: Cover, k: int = 1, tol: float = 1e-9,
     rejected = None
     overlap_pair = next(
         ((i, j) for i, j in itertools.combinations(range(len(locals_)), 2)
-         if cover.elements[i].members & cover.elements[j].members), None)
+         if mems[i] & mems[j]), None)
     if overlap_pair is not None:
         i, _ = overlap_pair
         bumped = list(locals_)
@@ -398,7 +394,7 @@ def glue_report(cover: Cover, k: int = 1, tol: float = 1e-9,
                                      rejected["names_bumped_local"]))
     return WitnessReport(
         claim="rem2.9-glue", verdict=verdict, seed=seed,
-        inputs={"memberships": [sorted(el.members) for el in cover.elements],
+        inputs={"memberships": [sorted(m) for m in cover.memberships],
                 "k": k, "tol": tol, "n_samples": n_samples},
         measured={"restriction_deviations": devs, "rejection": rejected})
 
@@ -441,7 +437,7 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
     """
     k = _local_family(locals_, cover)
     fibers = cover.space.fiber_dims
-    mems = cover.memberships()
+    mems = cover.memberships
 
     # global monomial -> per-element coefficient vectors; ``left`` holds
     # each (element, monomial, output slot) coefficient the pairwise
@@ -510,28 +506,27 @@ def kernel_report(cover: Cover, k: int = 1, seed: int = 0) -> WitnessReport:
     """
     k = _at_least("k", k)
     fibers = cover.space.fiber_dims
-    mems = cover.memberships()
+    mems = cover.memberships
     n = len(mems)
     rng = np.random.default_rng(seed)
 
-    gen: dict[tuple[int, int], tuple[OpenSet, Section]] = {}
+    gen: dict[tuple[int, int], Section] = {}
     pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
              if mems[i] & mems[j]]
     for (i, j) in pairs[:3]:
-        overlap = OpenSet(id=f"w{i}.{j}", members=mems[i] & mems[j])
-        d = open_set_dim(overlap.members, fibers)
-        gen[(i, j)] = overlap, _seeded_polynomial(d, k, rng)
+        d = open_set_dim(mems[i] & mems[j], fibers)
+        gen[(i, j)] = _seeded_polynomial(d, k, rng)
 
     locals_: list[Section] = []
     for a in range(n):
         acc = [dict() for _ in range(k)]
         d_a = open_set_dim(mems[a], fibers)
-        for (i, j), (overlap, sec) in gen.items():
+        for (i, j), sec in gen.items():
             if a not in (i, j):
                 continue
             sign = 1 if a == i else -1
             ext = compose_coord(
-                sec, projection_map(fibers, cover.elements[a], overlap))
+                sec, projection_map(fibers, mems[a], mems[i] & mems[j]))
             ext_coeffs = polynomial_coefficients(ext)
             for s in range(k):
                 for mono, c in ext_coeffs[s].items():
@@ -659,7 +654,7 @@ class AttackSpec:
 
 
 def _incidence(layer: InclusionLayer) -> np.ndarray:
-    m = np.zeros((len(layer.aggregation), len(layer.input_cover.elements)),
+    m = np.zeros((len(layer.aggregation), len(layer.input_cover.memberships)),
                  dtype=np.int64)
     for b, atuple in enumerate(layer.aggregation):
         m[b, list(atuple)] = 1
@@ -710,8 +705,8 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     layer = net.layers[layer_index]
     if not isinstance(layer, InclusionLayer):
         raise ValueError("the attacked layer must factor through inclusions")
-    in_mems = layer.input_cover.memberships()
-    out_mems = layer.output_cover.memberships()
+    in_mems = layer.input_cover.memberships
+    out_mems = layer.output_cover.memberships
     if not len(in_mems) > len(out_mems):
         raise ValueError("attack needs a strictly shrinking stage pair")
     if not all(proper_unions(out_mems, in_mems)):
@@ -871,7 +866,7 @@ def dataset_dependency(net: Network, grid_points: int = 10_000,
         measured = {"branch": branch, "target_value": target,
                     "min_gap_to_target": float(gap), "probe_count": count}
     elif branch == "open_bijective":
-        mems = final.input_cover.memberships()
+        mems = final.input_cover.memberships
         pair = None
         for a, b in itertools.combinations(sorted(net.space.points), 2):
             if not any(a in m and b in m for m in mems):
@@ -895,8 +890,7 @@ def dataset_dependency(net: Network, grid_points: int = 10_000,
             ej = z.copy(); ej[slots[1]] = 1.0
             md = net_fn(ei + ej) - net_fn(ei) - net_fn(ej) + net_fn(z)
             worst = max(worst, float(np.max(np.abs(md))))
-        U = OpenSet(id="all", members=frozenset(net.space.points))
-        target_sec = product_counterexample(U, net.space.fiber_dims, k)
+        target_sec = product_counterexample(net.input_dim, k)
         t_base = np.ones(net.input_dim)
         t_base[list(slots)] = 0.0
         t_md = multi_mixed_difference(target_sec, slots, t_base, 1.0)

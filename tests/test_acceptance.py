@@ -29,7 +29,7 @@ from coversheaf.sections import (ACTIVATIONS, Const, Section, Sum,
                                  polynomial_coefficients, polynomial_section,
                                  product_counterexample, projection_map,
                                  sections_equal, zero_pad_map)
-from coversheaf.topology import (CoverSequence, MarkedSpace, OpenSet,
+from coversheaf.topology import (CoverSequence, MarkedSpace,
                                  check_na_axioms, global_stage, make_cover,
                                  singleton_stage)
 from coversheaf.witnesses import (IncompatibleLocalsError, adversarial_attack,
@@ -101,13 +101,13 @@ def test_cohomology_vanishes_in_positive_degree():
         h = cech_cohomology(cover, fibers, k, max_degree=3)
         assert h[0] == k * sum(fibers[p - 1] for p in cover.covered)
         assert h[1:] == [0, 0, 0], (h, sorted(map(sorted,
-                                                  cover.memberships())))
+                                                  cover.memberships)))
         count += 1
     print(f"PASS positive-degree cohomology vanishes on {count} covers")
 
 
 def _qualifying(cover) -> bool:
-    return all(cover.covered - el.members for el in cover.elements)
+    return all(cover.covered - m for m in cover.memberships)
 
 
 def test_product_section_restricts_to_zero_everywhere():
@@ -119,7 +119,7 @@ def test_product_section_restricts_to_zero_everywhere():
                                   n_samples=100, seed=0)
         assert rep.verdict
         assert rep.measured["restriction_deviations"] == \
-            [0.0] * len(cover.elements)
+            [0.0] * len(cover.memberships)
         assert rep.measured["h_at_ones_norm"] == 1.0
         count += 1
     assert count >= 20
@@ -130,8 +130,7 @@ def test_product_section_restricts_to_zero_everywhere():
 def test_product_section_escapes_separable_sums():
     sp = MarkedSpace(n_points=2, fiber_dims=(1, 1))
     cover = make_cover(sp, [[1], [2]])
-    U = OpenSet(id="u", members=frozenset({1, 2}))
-    prod = product_counterexample(U, (1, 1), 1)
+    prod = product_counterexample(2, 1)
     md = multi_mixed_difference(prod, [0, 1], np.zeros(2), 1.0)
     assert md.tolist() == [1.0]
     rep = surjectivity_witness(cover, (1, 1), 1, n_trials=50, seed=0)
@@ -145,7 +144,7 @@ def test_product_section_escapes_separable_sums():
 
 def _glue_pool():
     return [(cover, k) for cover, k in sweep_covers()
-            if 2 <= len(cover.elements) <= 5]
+            if 2 <= len(cover.memberships) <= 5]
 
 
 def _random_polynomial(rng, d, k):
@@ -174,8 +173,8 @@ def test_inclusion_exclusion_gluing_round_trip():
         cover, k = pool[seed % len(pool)]
         fibers = cover.space.fiber_dims
         rng = np.random.default_rng(seed)
-        U = OpenSet(id="u", members=cover.covered)
-        d_U = open_set_dim(U.members, fibers)
+        U = cover.covered
+        d_U = open_set_dim(U, fibers)
         if seed % 2 == 0:  # alternate linear and polynomial families
             hidden = affine_section(
                 rng.integers(-3, 4, size=(k, d_U)).astype(float),
@@ -183,16 +182,16 @@ def test_inclusion_exclusion_gluing_round_trip():
         else:
             hidden = _random_polynomial(rng, d_U, k)
         locals_ = [compose_coord(hidden, zero_pad_map(fibers, el, U))
-                   for el in cover.elements]
+                   for el in cover.memberships]
         glued = glue_inclusion_exclusion(locals_, cover, tol=GLUE_TOL,
                                          n_samples=50, seed=seed)
-        for el, loc in zip(cover.elements, locals_):
+        for el, loc in zip(cover.memberships, locals_):
             back = compose_coord(glued, zero_pad_map(fibers, el, U))
             res = sections_equal(back, loc, n_samples=50, tol=GLUE_TOL,
                                  seed=seed)
             assert res.max_deviation <= GLUE_TOL
 
-        mems = cover.memberships()
+        mems = cover.memberships
         pair = next(((i, j) for i, j
                      in itertools.combinations(range(len(mems)), 2)
                      if mems[i] & mems[j]), None)
@@ -209,11 +208,9 @@ def test_inclusion_exclusion_gluing_round_trip():
             # the named pair must genuinely disagree on its overlap
             # (possibly the empty face, where constants must match)
             a, b = e.pair
-            w = OpenSet(id="w", members=mems[a] & mems[b])
-            ra = compose_coord(bad[a], zero_pad_map(fibers, w,
-                                                    cover.elements[a]))
-            rb = compose_coord(bad[b], zero_pad_map(fibers, w,
-                                                    cover.elements[b]))
+            w = mems[a] & mems[b]
+            ra = compose_coord(bad[a], zero_pad_map(fibers, w, mems[a]))
+            rb = compose_coord(bad[b], zero_pad_map(fibers, w, mems[b]))
             assert not sections_equal(ra, rb, n_samples=50, tol=GLUE_TOL,
                                       seed=seed).equal
             rejections += 1
@@ -235,12 +232,12 @@ def _add_coeffs(acc, coeffs, sign):
 def test_pairwise_kernel_decomposition_round_trip():
     pool = [(cover, k) for cover, k in _glue_pool()
             if any(a & b for a, b in
-                   itertools.combinations(cover.memberships(), 2))]
+                   itertools.combinations(cover.memberships, 2))]
     done = 0
     for seed in range(50):
         cover, k = pool[seed % len(pool)]
         fibers = cover.space.fiber_dims
-        mems = cover.memberships()
+        mems = cover.memberships
         rng = np.random.default_rng(1000 + seed)
         pairs = [(i, j) for i, j
                  in itertools.combinations(range(len(mems)), 2)
@@ -248,12 +245,12 @@ def test_pairwise_kernel_decomposition_round_trip():
 
         acc = [[dict() for _ in range(k)] for _ in mems]
         for (i, j) in pairs:
-            overlap = OpenSet(id=f"o{i}.{j}", members=mems[i] & mems[j])
-            d_o = open_set_dim(overlap.members, fibers)
+            overlap = mems[i] & mems[j]
+            d_o = open_set_dim(overlap, fibers)
             gen = _random_polynomial(rng, d_o, k)
             for a, sign in ((i, 1), (j, -1)):
                 ext = compose_coord(gen, projection_map(
-                    fibers, cover.elements[a], overlap))
+                    fibers, mems[a], overlap))
                 _add_coeffs(acc[a], polynomial_coefficients(ext), sign)
         locals_ = [polynomial_section(open_set_dim(mems[a], fibers), k,
                                       acc[a])
@@ -270,9 +267,8 @@ def test_pairwise_kernel_decomposition_round_trip():
             for (x, b), sec in family.items():
                 if x != a:
                     continue
-                overlap = OpenSet(id="o", members=mems[a] & mems[b])
                 ext = compose_coord(sec, projection_map(
-                    fibers, cover.elements[a], overlap))
+                    fibers, mems[a], mems[a] & mems[b]))
                 _add_coeffs(rebuilt, polynomial_coefficients(ext), 1)
             assert rebuilt == acc[a]
         done += 1

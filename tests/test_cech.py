@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coversheaf.sections import open_set_dim, slot_layout
-from coversheaf.topology import MarkedSpace, OpenSet, make_cover
+from coversheaf.topology import MarkedSpace, make_cover
 from coversheaf.cech import (ExactnessReport, _block_pass,
                              build_cech_complex, cech_cohomology,
                              hom_report_json, restriction_matrix,
@@ -41,8 +41,8 @@ def space(n, fibers=None):
 
 
 def test_restriction_matrix_selects_columns():
-    big = OpenSet(id="b", members=frozenset({1, 2, 3}))
-    small = OpenSet(id="s", members=frozenset({1, 3}))
+    big = frozenset({1, 2, 3})
+    small = frozenset({1, 3})
     m = restriction_matrix(big, small, (1, 1, 1), 1)
     assert m.tolist() == [[1, 0, 0], [0, 0, 1]]
     m2 = restriction_matrix(big, small, (1, 1, 1), 2)
@@ -105,10 +105,10 @@ def test_higher_degrees_are_zero_spaces():
 
 
 def test_flasque_restrictions():
-    big = OpenSet(id="b", members=frozenset({1, 2, 3}))
-    mid = OpenSet(id="m", members=frozenset({1, 3}))
-    pt = OpenSet(id="p", members=frozenset({2}))
-    empty = OpenSet(id="e", members=frozenset())
+    big = frozenset({1, 2, 3})
+    mid = frozenset({1, 3})
+    pt = frozenset({2})
+    empty = frozenset()
     out = flasque_check((1, 1, 1), 2, [(big, mid), (big, pt), (mid, empty)])
     assert out == [True, True, True]
 
@@ -155,10 +155,10 @@ def dense_cohomology(cover, fibers, k, max_degree):
 def dense_axiom_check(cover, fibers, k):
     """The two-sided axiom check on the assembled restriction and delta0."""
     fibers = tuple(int(f) for f in fibers)
-    U = OpenSet(id="union", members=cover.covered)
-    dim_global = k * sum(fibers[p - 1] for p in U.members)
+    U = cover.covered
+    dim_global = k * sum(fibers[p - 1] for p in U)
     first = np.concatenate(
-        [restriction_matrix(U, el, fibers, k) for el in cover.elements])
+        [restriction_matrix(U, el, fibers, k) for el in cover.memberships])
     cx = build_cech_complex(cover, fibers, k, max_degree=1)
     delta0 = cx.coboundaries[0]
     rank_first = exact_rank(first) if first.size else 0
@@ -170,7 +170,7 @@ def dense_axiom_check(cover, fibers, k):
     coker = dim_global - (exact_rank(first.T) if first.size else 0)
     injective = rank_first == dim_global
     return ExactnessReport(
-        cover_id=";".join(el.id for el in cover.elements),
+        cover_id=";".join(f"U{i}" for i in range(len(cover.memberships))),
         dim_global=dim_global, dim_product=first.shape[0],
         dim_pairwise=cx.dims[1], rank_restriction=rank_first,
         rank_delta0=rank_delta0, injective=injective,
@@ -221,10 +221,10 @@ def test_point_blocks_match_the_assembled_complex():
 
 def block_restriction(big, small, fibers, k):
     """The restriction matrix written entry by entry from slot layouts."""
-    d_big = open_set_dim(big.members, fibers)
-    d_small = open_set_dim(small.members, fibers)
-    big_slots = slot_layout(big.members, fibers)
-    cols = [c for p in sorted(small.members) for c in big_slots[p]]
+    d_big = open_set_dim(big, fibers)
+    d_small = open_set_dim(small, fibers)
+    big_slots = slot_layout(big, fibers)
+    cols = [c for p in sorted(small) for c in big_slots[p]]
     out = np.zeros((k * d_small, k * d_big), dtype=np.int64)
     for r in range(k):
         for t, c in enumerate(cols):
@@ -235,11 +235,10 @@ def block_restriction(big, small, fibers, k):
 def block_assembly(cover, fibers, k, max_degree):
     """dims and coboundaries from one restriction block per face pair,
     copied into place at the faces' offsets."""
-    memberships = cover.memberships()
+    memberships = cover.memberships
 
     def face_open(combo):
-        return OpenSet(id="face", members=frozenset.intersection(
-            *(memberships[i] for i in combo)))
+        return frozenset.intersection(*(memberships[i] for i in combo))
 
     faces, offsets, dims = [], [], []
     for q in range(max_degree + 2):
@@ -247,7 +246,7 @@ def block_assembly(cover, fibers, k, max_degree):
         off, pos = {}, 0
         for c in combos:
             off[c] = pos
-            pos += k * open_set_dim(face_open(c).members, fibers)
+            pos += k * open_set_dim(face_open(c), fibers)
         faces.append(combos)
         offsets.append(off)
         dims.append(pos)
@@ -280,8 +279,8 @@ def test_coordinate_index_matches_the_block_assembly():
         assert len(cx.coboundaries) == len(deltas)
         for got, want in zip(cx.coboundaries, deltas):
             assert_same_matrix(got, want)
-        union = OpenSet(id="union", members=cover.covered)
-        for el in cover.elements:
+        union = cover.covered
+        for el in cover.memberships:
             assert_same_matrix(restriction_matrix(union, el, fibers, k),
                                block_restriction(union, el, fibers, k))
         count += 1

@@ -83,6 +83,30 @@ def test_witness_defaults(capsys):
     assert doc["reports"][0]["measured"]["branch"] == "not_surjective"
 
 
+@pytest.mark.parametrize("extra, k", [((), 1),
+                                      (("--cover", TRIANGLE, "--k", "2"), 2)])
+def test_witness_glue_fields(capsys, extra, k):
+    code, doc = run(capsys, "witness", "glue", *extra)
+    assert code == 0 and doc["passed"] is True
+    glue, kernel = doc["reports"]
+    # the regluing deviations are float roundoff, bounded by tol only
+    devs = glue["measured"].pop("restriction_deviations")
+    assert len(devs) == 3 and all(0.0 <= d <= 1e-9 for d in devs)
+    mems = [[1, 2], [2, 3], [1, 3]]
+    assert glue == {
+        "claim": "rem2.9-glue", "verdict": True, "seed": 0, "schema": 1,
+        "inputs": {"k": k, "memberships": mems, "n_samples": 100,
+                   "tol": 1e-9},
+        "measured": {"rejection": {"pair": [0, 1], "deviation": 1.0,
+                                   "names_bumped_local": True}}}
+    assert kernel == {
+        "claim": "rem2.9-kernel", "verdict": True, "seed": 0, "schema": 1,
+        "inputs": {"generator_pairs": [[0, 1], [0, 2], [1, 2]], "k": k,
+                   "memberships": mems},
+        "measured": {"antisymmetric": True, "failure": None,
+                     "pair_count": 3}}
+
+
 def test_wl_compare_command(capsys):
     code, doc = run(capsys, "wl-compare", C6, TWO_C3, "--depth", "6")
     assert code == 0
@@ -450,7 +474,7 @@ def test_cohomology_builds_each_block_once_per_cover(capsys, tmp_path,
     want = Counter(m for members in covers for m in set(
         Counter(p for el in members for p in el).values()))
     assert want == {2: 3, 3: 1, 1: 1}
-    assert Counter(len(cover.elements) for cover, *_ in calls) == want
+    assert Counter(len(cover.memberships) for cover, *_ in calls) == want
     assert all(args[1:] == ((1,), 1, 3) for args in calls)
 
 

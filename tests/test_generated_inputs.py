@@ -3,7 +3,8 @@
 Spaces, graphs and networks are built from scratch (not mutated from a
 fixture), written to files and run in-process.  Exit 2 (bad input) must
 print nothing on stdout and exactly one ``error:`` line on stderr.
-Examples are derandomized, so every run checks the same documents.
+Examples are derandomized (``conftest.py``), so every run checks the
+same documents.
 """
 
 import io
@@ -19,7 +20,7 @@ from coversheaf.sections import ACTIVATIONS
 
 def generated(examples: int) -> settings:
     # each example overwrites the same files under tmp_path
-    return settings(derandomize=True, deadline=None, max_examples=examples,
+    return settings(deadline=None, max_examples=examples,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 

@@ -122,13 +122,13 @@ def test_cnn_structure():
     net = build_cnn(4)
     assert net.space.n_points == 16
     assert net.space.fiber_dims == (3,) * 16
-    assert [len(c.elements) for c in net.sequence.stages] == [16, 4, 1]
+    assert [len(c.memberships) for c in net.sequence.stages] == [16, 4, 1]
     conv = build_cnn(2, plan=[{"kind": "conv", "channels": 5,
                                "activation": "relu"},
                               {"kind": "fc", "out_dim": 1,
                                "activation": "sigmoid"}])
     # a convolution stage keeps the cover, one patch per cell
-    assert [len(c.elements) for c in conv.sequence.stages] == [4, 4, 1]
+    assert [len(c.memberships) for c in conv.sequence.stages] == [4, 4, 1]
 
 
 def test_deviation_shifts_inputs():
@@ -146,7 +146,7 @@ def test_sequential_builder():
     assert net.out_dim == 2
     assert forward(net, np.ones(4)).output.shape == (2,)
     lstm = build_sequential(5, "lstm", window=2, seed=5)
-    assert len(lstm.sequence.stages[1].elements) == 4
+    assert len(lstm.sequence.stages[1].memberships) == 4
 
 
 def test_positional_encoding_values():
@@ -248,8 +248,8 @@ def _assert_json_round_trip(net: Network) -> None:
     clone = network_from_json(json.dumps(network_to_json(net)))
     # the space round-trips with its structure, graph edges included
     assert clone.space == net.space
-    assert [c.memberships() for c in clone.sequence.stages] == \
-        [c.memberships() for c in net.sequence.stages]
+    assert [c.memberships for c in clone.sequence.stages] == \
+        [c.memberships for c in net.sequence.stages]
     x = np.random.default_rng(0).standard_normal(net.input_dim)
     assert np.array_equal(forward(net, x).output, forward(clone, x).output)
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coversheaf.cli import main
-from coversheaf.topology import OpenSet
 from coversheaf.sections import (ACTIVATIONS, Activation, Affine, Const,
                                  Coords, CoordMap, Max, Node, Product,
                                  Section, Sum,
@@ -28,9 +27,9 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SUMPOOL = FIXTURES / "sumpool.json"
 SUMPOOL_NODES = FIXTURES / "sumpool_nodes.json"
 UNIT3 = (1, 1, 1)
-U_ALL = OpenSet(id="all", members=frozenset({1, 2, 3}))
-U_12 = OpenSet(id="left", members=frozenset({1, 2}))
-U_23 = OpenSet(id="right", members=frozenset({2, 3}))
+U_ALL = frozenset({1, 2, 3})
+U_12 = frozenset({1, 2})
+U_23 = frozenset({2, 3})
 
 
 def test_slot_layout_and_dims():
@@ -109,17 +108,16 @@ def test_extend_then_restrict_is_identity(seed):
 
 
 def test_product_counterexample_shape():
-    h = product_counterexample(U_ALL, UNIT3, 2)
+    h = product_counterexample(3, 2)
     assert h.domain_dim == 3 and h.codomain_dim == 2
     assert np.allclose(evaluate(h, np.ones(3)), 1.0)
     assert np.allclose(evaluate(h, [1.0, 0.0, 1.0]), 0.0)
     with pytest.raises(ValueError):
-        product_counterexample(OpenSet(id="pt", members=frozenset({1})),
-                               UNIT3, 1)
+        product_counterexample(1, 1)
 
 
 def test_product_restricts_to_zero_exactly():
-    h = product_counterexample(U_ALL, UNIT3, 1)
+    h = product_counterexample(3, 1)
     for small in (U_12, U_23):
         r = compose_coord(h, zero_pad_map(UNIT3, small, U_ALL))
         res = sections_equal(r, zero_section(2, 1), n_samples=100,
@@ -129,8 +127,7 @@ def test_product_restricts_to_zero_exactly():
 
 
 def test_mixed_difference_of_product_is_one():
-    u = OpenSet(id="uv", members=frozenset({1, 2}))
-    h = product_counterexample(u, (1, 1), 1)
+    h = product_counterexample(2, 1)
     md = multi_mixed_difference(h, [0, 1], np.zeros(2), 1.0)
     assert md.tolist() == [1.0]
 
@@ -141,11 +138,9 @@ def test_mixed_difference_of_separable_sum_vanishes():
     for _ in range(50):
         g1 = affine_section(rng.standard_normal((1, 1)), rng.standard_normal(1))
         g2 = affine_section(rng.standard_normal((1, 1)), rng.standard_normal(1))
-        u = OpenSet(id="u", members=frozenset({1, 2}))
-        p1 = OpenSet(id="p1", members=frozenset({1}))
-        p2 = OpenSet(id="p2", members=frozenset({2}))
-        e1 = compose_coord(g1, projection_map((1, 1), u, p1))
-        e2 = compose_coord(g2, projection_map((1, 1), u, p2))
+        u = frozenset({1, 2})
+        e1 = compose_coord(g1, projection_map((1, 1), u, frozenset({1})))
+        e2 = compose_coord(g2, projection_map((1, 1), u, frozenset({2})))
         s = Section(domain_dim=2, codomain_dim=1, body=Sum((e1.body, e2.body)))
         base = rng.standard_normal(2)
         md = multi_mixed_difference(s, [0, 1], base, 1.0)
@@ -174,7 +169,7 @@ def test_polynomial_round_trip():
 
 
 def test_polynomial_coefficients_of_product():
-    h = product_counterexample(U_ALL, UNIT3, 1)
+    h = product_counterexample(3, 1)
     assert polynomial_coefficients(h) == [{(1, 1, 1): Fraction(1)}]
 
 
@@ -319,8 +314,7 @@ def test_deep_dag_evaluates_and_composes():
 
     ext = compose_coord(sec, projection_map(UNIT3, U_ALL, U_12))
     assert evaluate(ext, [1.0, 2.0, 7.0]).tolist() == [3.0, 3.0]
-    res = compose_coord(sec, zero_pad_map(UNIT3, OpenSet("p1", frozenset({1})),
-                                          U_12))
+    res = compose_coord(sec, zero_pad_map(UNIT3, frozenset({1}), U_12))
     assert evaluate(res, [4.0]).tolist() == [4.0, 4.0]
     shifted = compose_coord(sec, CoordMap(4, (1, 2)))
     assert evaluate(shifted, [9.0, 1.0, 2.0, 9.0]).tolist() == [3.0, 3.0]

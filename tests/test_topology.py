@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from coversheaf.topology import (Cover, CoverSequence, MarkedSpace, OpenSet,
+from coversheaf.topology import (Cover, CoverSequence, MarkedSpace,
                                  check_na_axioms, global_stage,
                                  load_space_document, make_cover,
                                  proper_unions, singleton_stage)
+from coversheaf.graphs import Graph
 from coversheaf.network import build_cnn, build_rnn_cover, build_sequential
 from test_acceptance import sweep_covers
 
@@ -44,18 +45,54 @@ def test_marked_space_validation():
                         structure=("graph", edges))
 
 
-def test_open_set_is_one_based():
-    assert OpenSet(id="a", members=frozenset({2, 1})).members == {1, 2}
-    with pytest.raises(ValueError):
-        OpenSet(id="a", members=frozenset({0, 1}))
+def test_cover_points_are_one_based():
+    assert Cover(space(3), ({2, 1},)).memberships == (frozenset({1, 2}),)
+    with pytest.raises(ValueError, match=r"element U1 references unknown "
+                                         r"points \[0\]"):
+        make_cover(space(3), [[1], [0, 1]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MarkedSpace(n_points=3, fiber_dims=(1.5, 1, True)),
+     "fiber_dims must be an integer, got 1.5"),
+    (lambda: MarkedSpace(n_points=True, fiber_dims=(1,)),
+     "n_points must be an integer, got True"),
+    (lambda: make_cover(space(3), [[1.9, 2], [True, 3]]),
+     "a point of element U0 must be an integer, got 1.9"),
+    (lambda: make_cover(space(3), [[1, 2], [True, 3]]),
+     "a point of element U1 must be an integer, got True"),
+    (lambda: make_cover(space(3), [["1"]]),
+     "a point of element U0 must be an integer, got '1'"),
+    (lambda: make_cover(space(3), [[1], [2], [0]]),
+     r"element U2 references unknown points \[0\]"),
+    (lambda: make_cover(space(3), [[1], [3, 4]]),
+     r"element U1 references unknown points \[4\]"),
+    (lambda: Graph(n=3, edges=((0, 1.7),), labels=(0.5, 1, 2)),
+     "edges must be an integer, got 1.7"),
+    (lambda: Graph(n=3, labels=(0.5, 1, 2)),
+     "labels must be an integer, got 0.5"),
+    (lambda: Graph(n="3"), "n must be an integer, got '3'"),
+])
+def test_constructors_refuse_non_integers_and_unknown_points(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_constructors_read_integral_floats_and_numpy_ints():
+    sp = MarkedSpace(n_points=3.0, fiber_dims=(np.int64(2), 1.0, 1))
+    assert (sp.n_points, sp.fiber_dims) == (3, (2, 1, 1))
+    assert type(sp.n_points) is int
+    cover = make_cover(sp, [[np.int64(1), 2.0], [3]])
+    assert cover.memberships == (frozenset({1, 2}), frozenset({3}))
+    g = Graph(n=np.int64(3), edges=((2.0, np.int32(1)),), labels=(1.0, 0, 0))
+    assert (g.n, g.edges, g.labels) == (3, ((1, 2),), (1, 0, 0))
 
 
 def test_cover_validation():
     sp = space(3)
     cov = make_cover(sp, [[1, 2], [2, 3]])
     assert cov.covered == {1, 2, 3}
-    assert cov.memberships() == (frozenset({1, 2}), frozenset({2, 3}))
-    assert len({el.id for el in cov.elements}) == 2
+    assert cov.memberships == (frozenset({1, 2}), frozenset({2, 3}))
     with pytest.raises(ValueError):
         make_cover(sp, [])
     with pytest.raises(ValueError):
@@ -68,7 +105,7 @@ def test_cover_may_undercover():
 
 
 def test_cover_derives_covered_and_takes_no_argument_for_it():
-    els = (OpenSet("a", frozenset({1})),)
+    els = (frozenset({1}),)
     assert Cover(space(3), els).covered == {1}
     with pytest.raises(TypeError):
         Cover(space(3), els, covered=frozenset({2, 3}))
@@ -146,8 +183,8 @@ def test_proper_unions_match_the_per_target_scan():
 def _oracle_non_triviality(seq):
     out = []
     for n in range(1, len(seq.stages)):
-        prev = seq.stages[n - 1].memberships()
-        fail = [i for i, m in enumerate(seq.stages[n].memberships())
+        prev = seq.stages[n - 1].memberships
+        fail = [i for i, m in enumerate(seq.stages[n].memberships)
                 if not scan_proper_union(m, prev)]
         out.append(fail[0] if fail else None)
     return out
@@ -196,7 +233,7 @@ def test_single_patch_stage_is_not_a_proper_union():
 
 def test_prefix_stage_axioms():
     seq = build_rnn_cover(4, "rnn")
-    assert [sorted(m) for m in seq.stages[1].memberships()] == [
+    assert [sorted(m) for m in seq.stages[1].memberships] == [
         [1], [1, 2], [1, 2, 3], [1, 2, 3, 4]]
     rep = check_na_axioms(seq)
     first, second = rep.stages
@@ -236,7 +273,7 @@ def test_axiom_report_json_shape():
 
 def test_lstm_windows():
     seq = build_rnn_cover(5, "lstm", window=3)
-    assert [sorted(m) for m in seq.stages[1].memberships()] == [
+    assert [sorted(m) for m in seq.stages[1].memberships] == [
         [1, 2, 3], [2, 3, 4], [3, 4, 5]]
 
 
@@ -248,7 +285,7 @@ def test_load_space_document(tmp_path):
     path.write_text(json.dumps(doc))
     sp, covers = load_space_document(path)
     assert sp.fiber_dims == (1, 2, 1)
-    assert covers[0].memberships() == (frozenset({1, 2}), frozenset({2, 3}))
+    assert covers[0].memberships == (frozenset({1, 2}), frozenset({2, 3}))
     # inline JSON and decoded dicts are accepted too
     sp2, _ = load_space_document(json.dumps(doc))
     assert sp2 == sp

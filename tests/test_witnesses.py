@@ -11,7 +11,7 @@ import pytest
 
 from coversheaf._linalg import nullspace_basis
 from coversheaf.cech import cech_cohomology, sheaf_axiom_check
-from coversheaf.topology import (CoverSequence, MarkedSpace, OpenSet,
+from coversheaf.topology import (CoverSequence, MarkedSpace,
                                  global_stage, make_cover, singleton_stage)
 from coversheaf.sections import (ACTIVATIONS, affine_section, compose_coord,
                                  constant_section, evaluate,
@@ -78,8 +78,7 @@ def test_surjectivity_witness():
 
 
 def test_multi_mixed_difference():
-    prod = product_counterexample(
-        OpenSet(id="all", members=frozenset({1, 2, 3})), (1, 1, 1), 1)
+    prod = product_counterexample(3, 1)
     md = multi_mixed_difference(prod, [0, 1, 2], np.zeros(3), 1.0)
     assert md.tolist() == [1.0]
     aff = affine_section([[2.0, 3.0]], bias=[5.0])
@@ -166,8 +165,8 @@ def abstract_cover(members, fibers=None):
 
 
 def test_folded_faces_match_the_subset_expansion():
-    cases = [cover.memberships() for cover, _ in sweep_covers()]
-    cases += [abstract_cover(m).memberships()
+    cases = [cover.memberships for cover, _ in sweep_covers()]
+    cases += [abstract_cover(m).memberships
               for m in (chain(9), complement(6), TRIANGLE)]
     cases += list(random_memberships())
     for mems in cases:
@@ -184,9 +183,9 @@ def test_glued_polynomial_is_the_visible_part_of_the_hidden_one():
                abstract_cover(complement(5))]
     for cover in covers:
         fibers = cover.space.fiber_dims
-        mems = cover.memberships()
-        U = OpenSet(id="u", members=cover.covered)
-        owner = {slot: p for p, slots in slot_layout(U.members, fibers).items()
+        mems = cover.memberships
+        U = cover.covered
+        owner = {slot: p for p, slots in slot_layout(U, fibers).items()
                  for slot in slots}
         d_U, k = len(owner), int(rng.integers(1, 3))
         coeffs = [dict() for _ in range(k)]
@@ -198,7 +197,7 @@ def test_glued_polynomial_is_the_visible_part_of_the_hidden_one():
                 Fraction(int(rng.integers(1, 8)), 4)
         hidden = polynomial_section(d_U, k, coeffs)
         locals_ = [compose_coord(hidden, zero_pad_map(fibers, el, U))
-                   for el in cover.elements]
+                   for el in cover.memberships]
         glued = glue_inclusion_exclusion(locals_, cover)
 
         def visible(mono):
@@ -212,7 +211,7 @@ def test_glued_polynomial_is_the_visible_part_of_the_hidden_one():
 @pytest.mark.parametrize("m", [11, 24])
 def test_glue_needs_one_term_per_distinct_face(m):
     cover = abstract_cover(chain(m))
-    locals_ = [affine_section(np.ones((1, 2))) for _ in cover.elements]
+    locals_ = [affine_section(np.ones((1, 2))) for _ in cover.memberships]
     glued = glue_inclusion_exclusion(locals_, cover)
     # m elements and m - 1 shared points; the empty face cancels
     assert len(glued.body.children) == 2 * m - 1
@@ -245,7 +244,7 @@ def test_exact_mixed_difference_matches_the_evaluated_sum():
 
 def test_glue_input_validation():
     cover = triangle_cover()
-    good = [affine_section(np.ones((1, 2))) for _ in cover.elements]
+    good = [affine_section(np.ones((1, 2))) for _ in cover.memberships]
     wide, narrow = list(good), list(good)
     wide[0] = affine_section(np.ones((1, 3)))
     narrow[1] = affine_section(np.ones((1, 1)))
@@ -272,7 +271,7 @@ def test_glue_input_validation():
 
 def test_glue_incompatible_pair_is_named():
     cover = triangle_cover()
-    locals_ = [affine_section(np.ones((1, 2))) for _ in cover.elements]
+    locals_ = [affine_section(np.ones((1, 2))) for _ in cover.memberships]
     locals_[1] = affine_section(2 * np.ones((1, 2)))
     with pytest.raises(IncompatibleLocalsError) as err:
         glue_inclusion_exclusion(locals_, cover)
@@ -305,7 +304,7 @@ def test_glue_and_decompose_demo_names_each_overlap(capsys):
 def test_kernel_decompose_zero_family():
     sp = MarkedSpace(n_points=3, fiber_dims=(1, 1, 1))
     cover = make_cover(sp, [[1, 2], [2, 3]])
-    zeros = [polynomial_section(2, 1, [{}]) for _ in cover.elements]
+    zeros = [polynomial_section(2, 1, [{}]) for _ in cover.memberships]
     assert cosheaf_kernel_decompose(zeros, cover) == {}
 
 
