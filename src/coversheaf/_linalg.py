@@ -19,12 +19,12 @@ def _to_rows(matrix) -> list[dict[int, int]]:
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    rows = []
-    for r in range(a.shape[0]):
-        row = {int(c): int(a[r, c]) for c in np.nonzero(a[r])[0]}
-        if row:
-            rows.append(row)
-    return rows
+    flat = np.flatnonzero(a)  # one pass, faster than a 2-d nonzero
+    r, c = np.divmod(flat, a.shape[1])
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, v in zip(r.tolist(), c.tolist(), a.ravel()[flat].tolist()):
+        rows.setdefault(i, {})[j] = int(v)
+    return list(rows.values())
 
 
 def _clear(row: dict[int, int], col: int, pivot_row: dict[int, int]) -> bool:

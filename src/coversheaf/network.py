@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -28,10 +28,10 @@ import numpy as np
 from .topology import (Cover, CoverSequence, MarkedSpace, _at_least, _decode,
                        _json_int, global_stage, make_cover, singleton_stage,
                        space_from_json, space_to_json)
-from .sections import (ACTIVATIONS, Activation, CoordMap, Node, Section, Sum,
-                       affine_section, compose_coord, constant_section,
-                       evaluate, section_from_json, section_to_json,
-                       slot_layout, zero_section)
+from .sections import (ACTIVATIONS, Activation, Const, CoordMap, Node,
+                       Section, Sum, _frozen, affine_section, compose_coord,
+                       constant_section, evaluate, section_from_json,
+                       section_to_json, slot_layout, zero_section)
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,14 @@ class _StagePair:
 @dataclass(frozen=True)
 class InclusionLayer(_StagePair):
     """out_beta = activation(sum over alpha in aggregation[beta] of
-    phi[alpha](v_alpha))."""
+    phi[alpha](v_alpha) + offsets[alpha]).  ``offsets``, the perturbation
+    of thm4.2, is none or a read-only (inputs, out_dim) float array (not
+    compared, as arrays do not compare to one bool)."""
 
     phi: tuple[Section, ...]
     activation: str
     out_dim: int
+    offsets: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -81,23 +84,56 @@ class InclusionLayer(_StagePair):
         for s in self.phi:
             if s.codomain_dim != self.out_dim:
                 raise ValueError("phi codomain must equal the layer out_dim")
+        if self.offsets is not None:
+            off = _frozen(self.offsets)
+            if off.shape != (len(self.phi), self.out_dim) or \
+                    not np.isfinite(off).all():
+                raise ValueError("offsets must be finite, one row per input")
+            object.__setattr__(self, "offsets", off)
+
+    def _terms(self, values: Sequence[np.ndarray],
+               inputs: Sequence[int]) -> dict[int, np.ndarray]:
+        """phi_alpha(v_alpha) + offsets[alpha] by listed input alpha; the
+        inputs that share one phi object are evaluated as one stack."""
+        groups: dict[int, list[int]] = {}
+        for a in inputs:
+            groups.setdefault(id(self.phi[a]), []).append(a)
+        got, off = {}, self.offsets
+        for group in groups.values():
+            phi, first = self.phi[group[0]], values[group[0]]
+            if len(group) == 1:
+                val = evaluate(phi, first)
+                got[group[0]] = val if off is None else val + off[group[0]]
+                continue
+            # one copy, each slab column-major as evaluate reads it
+            stack = np.stack([values[a].T for a in group]).reshape(
+                len(group), phi.domain_dim, -1)
+            vals = evaluate(phi, stack.swapaxes(1, 2))
+            if off is not None:
+                vals += off[group][:, None]
+            got.update(zip(group, vals[:, 0] if np.ndim(first) == 1 else vals))
+        return got
 
     def apply(self, values: Sequence[np.ndarray],
               pre: list | None = None) -> list[np.ndarray]:
         """Output values of every output element.
 
         With a list ``pre`` (empty), first append every input's
-        phi_alpha(v_alpha) to it, then sum the outputs from those values.
+        phi_alpha(v_alpha) (plus its offset) to it, then sum the outputs
+        from those values.
+        Untraced, only one output element's inputs are held at a time.
         """
         fn = ACTIVATIONS[self.activation].fn
+        every = None  # traced: every input's term at once, all kept in pre
         if pre is not None:
-            pre.extend(evaluate(s, v) for s, v in zip(self.phi, values))
+            every = self._terms(values, range(len(self.phi)))
+            pre.extend(every[a] for a in range(len(self.phi)))
         out = []
         for atuple in self.aggregation:
+            terms = every or self._terms(values, atuple)
             acc = np.zeros(self.out_dim)
             for a in atuple:
-                acc = acc + (evaluate(self.phi[a], values[a]) if pre is None
-                             else pre[a])
+                acc = acc + terms[a]
             out.append(fn(acc))
         return out
 
@@ -241,12 +277,6 @@ class FactorsCheckResult(NamedTuple):
     max_deviation: float
 
 
-def _input_offsets(layer: InclusionLayer) -> list[int]:
-    """Where each input's block starts in the concatenated input space,
-    then the total width."""
-    return [0, *itertools.accumulate(s.domain_dim for s in layer.phi)]
-
-
 def composed_layer_sections(layer: InclusionLayer) -> list[Section]:
     """Symbolic per-output sections of an inclusion layer.
 
@@ -255,14 +285,18 @@ def composed_layer_sections(layer: InclusionLayer) -> list[Section]:
     alpha block).  This is an independent evaluation path from
     ``layer.apply``: it goes through DAG composition.
     """
-    offsets = _input_offsets(layer)
-    total = offsets[-1]
+    # where each input's block starts in the concatenated input space
+    starts = [0, *itertools.accumulate(s.domain_dim for s in layer.phi)]
+    total = starts[-1]
     out = []
     for atuple in layer.aggregation:
         parts: list[Node] = []
         for a in atuple:
-            block = CoordMap(total, tuple(range(offsets[a], offsets[a + 1])))
-            parts.append(compose_coord(layer.phi[a], block).body)
+            block = CoordMap(total, tuple(range(starts[a], starts[a + 1])))
+            part = compose_coord(layer.phi[a], block).body
+            if layer.offsets is not None:
+                part = Sum((part, Const(tuple(layer.offsets[a]))))
+            parts.append(part)
         body: Node = parts[0] if len(parts) == 1 else Sum(tuple(parts))
         if layer.activation != "identity":
             body = Activation(layer.activation, body)
@@ -282,12 +316,12 @@ def factors_check(layer: Layer, n_samples: int = 100, tol: float = 1e-9,
     if not isinstance(layer, InclusionLayer):
         raise TypeError("factors_check applies to inclusion layers only")
     n_samples = _at_least("n_samples", n_samples)
-    offsets = _input_offsets(layer)
+    starts = [0, *itertools.accumulate(s.domain_dim for s in layer.phi)]
     sections = composed_layer_sections(layer)
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((n_samples, offsets[-1]))
+    samples = rng.standard_normal((n_samples, starts[-1]))
     values = [samples[:, start:stop]
-              for start, stop in zip(offsets, offsets[1:])]
+              for start, stop in zip(starts, starts[1:])]
     direct = layer.apply(values)
     dev = 0.0
     for b, sec in enumerate(sections):
@@ -612,7 +646,7 @@ def network_to_json(net: Network) -> dict:
     for layer in net.layers:
         entry: dict = {"aggregation": [list(a) for a in layer.aggregation],
                        "out_dim": layer.out_dim}
-        if isinstance(layer, InclusionLayer):
+        if isinstance(layer, InclusionLayer) and layer.offsets is None:
             entry["kind"] = "inclusion"
             entry["activation"] = layer.activation
             entry["phi"] = [section_to_json(s) for s in layer.phi]
@@ -620,7 +654,8 @@ def network_to_json(net: Network) -> dict:
             entry["kind"] = "general"
             entry["op"] = layer.op.mode
         else:
-            raise ValueError("only inclusion and reducer layers serialize to JSON")
+            raise ValueError("only inclusion layers without offsets and "
+                             "reducer layers serialize to JSON")
         layers.append(entry)
     return {
         "schema": 1,

@@ -297,25 +297,34 @@ def _fold(section: Section, rule: Callable[[Node, list], object]):
 
 
 def evaluate(section: Section, y) -> np.ndarray:
-    """Evaluate at one point (shape (d,)) or a batch (shape (n, d))."""
+    """Evaluate at one point (shape (d,)), a batch (shape (n, d)) or a
+    stack of batches (shape (m, n, d)), each slab bit for bit as alone."""
     arr = np.asarray(y, dtype=float)
     single = arr.ndim == 1
     arr = arr[None, :] if single else arr
-    if arr.ndim != 2 or arr.shape[1] != section.domain_dim:
+    if arr.ndim not in (2, 3) or arr.shape[-1] != section.domain_dim:
         raise ValueError(
             f"input shape {np.asarray(y).shape} does not match domain dim "
             f"{section.domain_dim}")
 
-    cols = np.asfortranarray(arr)  # a gather's layout, which matmul rounding follows
+    # each slab column-major, a gather's layout, which matmul rounding
+    # follows (so a stack is never flattened: taller matmuls round apart);
+    # a stack's scattered gather takes from its slab-transposed copy
+    stacked = arr.ndim == 3
+    slabs_t = np.ascontiguousarray(arr.swapaxes(1, 2)) if stacked else None
+    cols = slabs_t.swapaxes(1, 2) if stacked else np.asfortranarray(arr)
+    lead = arr.shape[:-1]
 
     def value(node: Node, args: list) -> np.ndarray:
         if isinstance(node, Coords):
-            return cols[:, node._at]
+            if stacked and not isinstance(node._at, slice):
+                return slabs_t.take(node._at, axis=1).swapaxes(1, 2)
+            return cols[..., node._at]
         if isinstance(node, Const):
-            return np.broadcast_to(node._values, (len(arr), len(node.values))).copy()
+            return np.broadcast_to(node._values, (*lead, len(node.values))).copy()
         if isinstance(node, Affine):
             if not node.matrix:
-                return np.zeros((len(arr), 0))
+                return np.zeros((*lead, 0))
             out = args[0] @ node._matrix_t
             out += node._bias
             return out

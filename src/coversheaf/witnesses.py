@@ -655,18 +655,10 @@ class AttackSpec:
 
 def _incidence(layer: InclusionLayer) -> np.ndarray:
     m = np.zeros((len(layer.aggregation), len(layer.input_cover.memberships)),
-                 dtype=np.int64)
+                 dtype=np.int8)
     for b, atuple in enumerate(layer.aggregation):
         m[b, list(atuple)] = 1
     return m
-
-
-def _offset_layer(layer: InclusionLayer,
-                  offsets: Sequence[Sequence[float]]) -> InclusionLayer:
-    return replace(layer, phi=tuple(
-        Section(domain_dim=s.domain_dim, codomain_dim=s.codomain_dim,
-                body=Sum((s.body, Const(tuple(off)))))
-        for s, off in zip(layer.phi, offsets)))
 
 
 def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
@@ -728,8 +720,8 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     n_in = len(in_mems)
     den = math.lcm(*(v.denominator for vec in basis for v in vec.values()))
     num = [[0] * k1 for _ in range(n_in)]
-    for vec in basis:
-        weights = [int(w) for w in rng.integers(-3, 4, size=k1)]
+    # one draw: the stream of one size-k1 draw per basis vector
+    for vec, weights in zip(basis, rng.integers(-3, 4, (len(basis), k1)).tolist()):
         for a, v in vec.items():
             c = v.numerator * (den // v.denominator)
             row = num[a]
@@ -754,11 +746,11 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     spec = AttackSpec(layer_index, p, delta,
                       tuple(tuple(Fraction(n * scale, den) for n in row)
                             for row in num))
-    zero_sum = all(sum(num[a][s] for a in atuple) == 0
-                   for atuple in layer.aggregation for s in range(k1))
+    zero_sum = all(not any(map(sum, zip(*(num[a] for a in atuple))))
+                   for atuple in layer.aggregation)
 
     perturbed_layers = list(net.layers)
-    perturbed_layers[layer_index] = _offset_layer(layer, offsets)
+    perturbed_layers[layer_index] = replace(layer, offsets=offsets)
     pert_net = Network(space=net.space, sequence=net.sequence,
                        layers=tuple(perturbed_layers))
 
@@ -766,21 +758,17 @@ def adversarial_attack(net: Network, layer_index: int, p: float = 2.0,
     clean: ForwardResult = forward(net, xs, trace=True)
     pert: ForwardResult = forward(pert_net, xs, trace=True)
     out_gap = float(np.max(np.abs(clean.output - pert.output)))
-    # each input's move, as the perturbed network itself computed it
-    moves = [np.abs(after - before) for after, before in
-             zip(pert.pre[layer_index], clean.pre[layer_index])]
+    # each input's move (input, row, slot), as the perturbed network
+    # itself computed it; summed per input, then over inputs in order
+    moves = np.abs(np.stack(pert.pre[layer_index])
+                   - np.stack(clean.pre[layer_index]))
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.zeros(len(xs))
-        for d in moves:
-            total += np.sum(d ** p, axis=1)
-        measured = total ** (1.0 / p)
+        measured = np.sum(moves ** p, axis=2).sum(axis=0) ** (1.0 / p)
         if not np.all(np.isfinite(measured)):
-            top = np.max([np.max(d, axis=1) for d in moves], axis=0)
+            top = moves.max(axis=(0, 2))
             top[top == 0] = 1.0
-            total = np.zeros(len(xs))
-            for d in moves:
-                total += np.sum((d / top[:, None]) ** p, axis=1)
-            measured = top * total ** (1.0 / p)
+            measured = top * np.sum((moves / top[:, None]) ** p,
+                                    axis=2).sum(axis=0) ** (1.0 / p)
         disp_gap = float(np.max(np.abs(measured - formula)))
 
     verdict = (zero_sum and formula > delta and out_gap <= tol

@@ -2,7 +2,9 @@
 
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coversheaf
 from coversheaf import cech, graphs
 from coversheaf.cli import main
 
@@ -544,3 +547,19 @@ def test_mutated_documents_exit_0_1_or_2(site, value):
                 assert out.getvalue() == ""
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_importing_the_package_adds_only_its_own_and_stdlib_modules():
+    # scipy, sympy and networkx are importable here, so a stray import of
+    # one shows; every process pays for what the package imports
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "import coversheaf, coversheaf.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(coversheaf.__file__).resolve().parents[1])
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "coversheaf.witnesses" in added
+    foreign = [m for m in added if m.partition(".")[0] != "coversheaf"
+               and m.partition(".")[0] not in sys.stdlib_module_names]
+    assert not foreign, foreign

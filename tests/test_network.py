@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,15 @@ import pytest
 
 from coversheaf.topology import (CoverSequence, MarkedSpace, global_stage,
                                  make_cover, singleton_stage)
-from coversheaf.sections import affine_section, constant_section, evaluate
+from coversheaf.sections import (ACTIVATIONS, Const, Section, Sum,
+                                 affine_section, constant_section, evaluate)
 from coversheaf.network import (Deviation, GeneralLayer, InclusionLayer,
                                 MultiHeadAttentionOp, Network, Reducer, build_attention, build_cnn,
                                 build_rnn_cover, build_sequential,
                                 composed_layer_sections,
                                 factors_check, forward, network_from_json,
                                 network_to_json, positional_encoding)
+from test_witnesses import _shared_dag_net
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -380,3 +383,98 @@ def test_forward_allocates_well_below_one_copy_of_the_probe():
     finally:
         tracemalloc.stop()
     assert peak < 0.6 * probe.nbytes, (peak, probe.nbytes)
+
+
+def per_input_apply(layer: InclusionLayer, values, pre=None):
+    """InclusionLayer.apply with one evaluate call per input element
+    (oracle for the grouped route)."""
+    terms = [evaluate(s, v) for s, v in zip(layer.phi, values)]
+    if layer.offsets is not None:
+        terms = [t + off for t, off in zip(terms, layer.offsets)]
+    if pre is not None:
+        pre.extend(terms)
+    fn = ACTIVATIONS[layer.activation].fn
+    out = []
+    for atuple in layer.aggregation:
+        acc = np.zeros(layer.out_dim)
+        for a in atuple:
+            acc = acc + terms[a]
+        out.append(fn(acc))
+    return out
+
+
+def _shared_phi_net() -> Network:
+    """The shared-DAG network with its 60-node phi shared by all inputs."""
+    net = _shared_dag_net()
+    first = net.layers[0]
+    shared = replace(first, phi=(first.phi[0],) * len(first.phi))
+    return replace(net, layers=(shared, *net.layers[1:]))
+
+
+def _same(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_values(got, want) -> bool:
+    return len(got) == len(want) and all(map(_same, got, want))
+
+
+@pytest.mark.parametrize("make", [
+    sumpool_net, lambda: network_from_json(FIXTURES / "sumpool_nodes.json"),
+    lambda: build_cnn(8, seed=1),
+    lambda: build_cnn(4, plan=[{"kind": "conv", "channels": 5},
+                               {"kind": "pool", "mode": "sum", "block": 2,
+                                "channels": 3},
+                               {"kind": "fc", "out_dim": 1}], seed=2),
+    lambda: build_sequential(5, "rnn", seed=1),
+    lambda: build_sequential(5, "lstm", window=3, seed=1),
+    lambda: build_attention(3, 4, heads=2, head_dim=2, seed=3),
+    _shared_dag_net, _shared_phi_net,
+])
+def test_grouped_apply_equals_the_per_input_route(make, monkeypatch):
+    net = make()
+    rng = np.random.default_rng(9)
+    runs = [(x, trace) for x in (rng.standard_normal(net.input_dim),
+                                 rng.standard_normal((6, net.input_dim)))
+            for trace in (False, True)]
+    got = [forward(net, x, trace=trace) for x, trace in runs]
+    monkeypatch.setattr(InclusionLayer, "apply", per_input_apply)
+    for g, (x, trace) in zip(got, runs):
+        want = forward(net, x, trace=trace)
+        assert _same(g.output, want.output)
+        assert all(map(_same_values, g.stages, want.stages))
+        if trace:
+            assert [p is None for p in g.pre] == [p is None for p in want.pre]
+            assert all(_same_values(gp, wp) for gp, wp in zip(g.pre, want.pre)
+                       if wp is not None)
+
+
+def test_offsets_add_after_each_phi():
+    net = build_cnn(4, seed=1)
+    layer = net.layers[0]
+    off = np.random.default_rng(2).standard_normal((len(layer.phi),
+                                                    layer.out_dim))
+    shifted = replace(layer, offsets=off)
+    off[0, 0] = 99.0  # the layer holds a read-only copy
+    assert shifted.offsets[0, 0] != 99.0 and not shifted.offsets.flags.writeable
+    # as one Sum(phi, Const) section per input, the route offsets replaced
+    summed = replace(layer, phi=tuple(
+        Section(domain_dim=s.domain_dim, codomain_dim=s.codomain_dim,
+                body=Sum((s.body, Const(tuple(o)))))
+        for s, o in zip(layer.phi, shifted.offsets)))
+    xs = np.random.default_rng(3).standard_normal((5, net.input_dim))
+    for x in (xs, xs[0]):
+        runs = [forward(replace(net, layers=(lay, *net.layers[1:])), x,
+                        trace=True) for lay in (shifted, summed)]
+        assert _same(runs[0].output, runs[1].output)
+        assert _same_values(runs[0].pre[0], runs[1].pre[0])
+        assert not np.array_equal(runs[0].output, forward(net, x).output)
+    res = factors_check(shifted, n_samples=30, seed=3)
+    assert res.factors and res.max_deviation <= 1e-9
+    with pytest.raises(ValueError):
+        network_to_json(replace(net, layers=(shifted, *net.layers[1:])))
+    good = shifted.offsets
+    for bad in (good[:-1], good[:, :1], good[0], np.where(good > 0, np.nan, good),
+                np.full_like(good, np.inf)):
+        with pytest.raises(ValueError):
+            replace(layer, offsets=bad)

@@ -490,6 +490,30 @@ def test_array_leaves_evaluate_as_the_tuple_route_bit_for_bit(start):
             assert same_bits(evaluate(sec, y), tuple_route_evaluate(sec, y))
 
 
+@pytest.mark.parametrize("start", range(0, 200, 50))
+def test_a_stack_evaluates_as_its_slabs_bit_for_bit(start):
+    rng = np.random.default_rng(start)
+    for seed in range(start, start + 50):
+        sec = random_dag(seed)
+        row = tuple(rng.standard_normal(sec.codomain_dim))
+        narrow = Section(domain_dim=6, codomain_dim=1,
+                         body=Affine((row,), (0.5,), sec.body))
+        for s in (sec, narrow):
+            for rows in (1, 2, 3, 20):
+                slabs = [rng.standard_normal((rows, 6)) for _ in range(4)]
+                # row-major slabs, and the column-major ones a layer stacks
+                for stack in (np.stack(slabs),
+                              np.stack([v.T for v in slabs]).swapaxes(1, 2)):
+                    got = evaluate(s, stack)
+                    assert got.shape == (4, rows, s.codomain_dim)
+                    for j, v in enumerate(slabs):
+                        assert same_bits(got[j], evaluate(s, v))
+            points = rng.standard_normal((4, 6))
+            got = evaluate(s, points[:, None, :])
+            for j, v in enumerate(points):
+                assert same_bits(got[j, 0], evaluate(s, v))
+
+
 def test_leaf_arrays_are_read_only():
     aff = Affine(((1.0, 2.0), (3.0, 4.0)), (0.5, -0.5), Coords((0, 1)))
     const = Const((1.0, 2.0))
@@ -528,7 +552,7 @@ def test_evaluate_never_returns_memory_of_its_input(body, width):
     sec = Section(domain_dim=3, codomain_dim=width, body=body)
     wide = np.arange(20.0).reshape(4, 5)
     for y in (wide[:, :3], wide[:, 1:4], wide[2, :3], np.arange(3.0),
-              np.asfortranarray(wide[:, 2:])):
+              np.asfortranarray(wide[:, 2:]), np.arange(24.0).reshape(2, 4, 3)):
         before = y.copy()
         out = evaluate(sec, y)
         assert not np.shares_memory(out, y)

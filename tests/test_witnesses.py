@@ -3,6 +3,7 @@
 import itertools
 import math
 import runpy
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -518,6 +519,63 @@ def test_integer_bookkeeping_matches_the_fraction_route(name, make,
             if name == "overlap":
                 assert any(v.denominator > 1 for vec in basis
                            for v in vec.values())
+
+
+def _loop_displacements(moves, p: float) -> np.ndarray:
+    """Per-row p-displacement summed input by input (reference for the
+    stacked route), with the max-scaled rule where the sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.zeros(len(moves[0]))
+        for d in moves:
+            total += np.sum(d ** p, axis=1)
+        if np.all(np.isfinite(total ** (1.0 / p))):
+            return total ** (1.0 / p)
+        top = np.max([np.max(d, axis=1) for d in moves], axis=0)
+        top[top == 0] = 1.0
+        total = np.zeros(len(moves[0]))
+        for d in moves:
+            total += np.sum((d / top[:, None]) ** p, axis=1)
+        return top * total ** (1.0 / p)
+
+
+@pytest.mark.parametrize("name,make,layer_index", ATTACKED[:6],
+                         ids=[a[0] for a in ATTACKED[:6]])
+def test_stacked_displacement_matches_the_per_input_loop(name, make,
+                                                         layer_index):
+    net = make()
+    layer = net.layers[layer_index]
+    for p, delta, seed in ((1.0, 1.0, 0), (2.0, 10.0, 7), (300.0, 1000.0, 5)):
+        spec, rep = adversarial_attack(net, layer_index, p=p, delta=delta,
+                                       seed=seed)
+        rng = np.random.default_rng(seed)  # the attack's own draws
+        rng.integers(-3, 4, (rep.measured["null_space_dim"], layer.out_dim))
+        xs = rng.standard_normal((20, net.input_dim))
+        layers = list(net.layers)
+        layers[layer_index] = replace(layer, offsets=[
+            [float(v) for v in vec] for vec in spec.perturbations])
+        pert = Network(space=net.space, sequence=net.sequence,
+                       layers=tuple(layers))
+        moves = [np.abs(a - b) for a, b in
+                 zip(forward(pert, xs, trace=True).pre[layer_index],
+                     forward(net, xs, trace=True).pre[layer_index])]
+        measured = _loop_displacements(moves, p)
+        gap = float(np.max(np.abs(measured - rep.measured["displacement"])))
+        assert gap == rep.measured["max_displacement_gap"]
+
+
+def test_the_cnn64_attack_peaks_below_a_dense_int64_incidence():
+    import tracemalloc
+    net = build_cnn(64)
+    layer = net.layers[0]
+    wide = 8 * len(layer.aggregation) * len(layer.phi)  # 32 MiB
+    tracemalloc.start()
+    try:
+        _, rep = adversarial_attack(net, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict
+    assert peak < wide, (peak, wide)
 
 
 def test_attack_on_the_token_layer_of_an_attention_network():
