@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -34,10 +34,11 @@ from .sections import (ACTIVATIONS, Activation, Const, CoordMap, Node,
                        section_to_json, slot_layout, zero_section)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _StagePair:
     """What every layer carries: its stage pair, and per output element
-    the input elements it aggregates, each contained in the output."""
+    the input elements it aggregates, each contained in the output.
+    Layers compare by identity: an offset layer never equals its source."""
 
     input_cover: Cover
     output_cover: Cover
@@ -63,17 +64,16 @@ class _StagePair:
                         f"input element {a} is not contained in output element {b}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InclusionLayer(_StagePair):
     """out_beta = activation(sum over alpha in aggregation[beta] of
     phi[alpha](v_alpha) + offsets[alpha]).  ``offsets``, the perturbation
-    of thm4.2, is none or a read-only (inputs, out_dim) float array (not
-    compared, as arrays do not compare to one bool)."""
+    of thm4.2, is none or a read-only (inputs, out_dim) float array."""
 
     phi: tuple[Section, ...]
     activation: str
     out_dim: int
-    offsets: np.ndarray | None = field(default=None, compare=False)
+    offsets: np.ndarray | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -105,7 +105,8 @@ class InclusionLayer(_StagePair):
                 val = evaluate(phi, first)
                 got[group[0]] = val if off is None else val + off[group[0]]
                 continue
-            # one copy, each slab column-major as evaluate reads it
+            # np.stack keeps each .T slab's row-major memory, so this
+            # copy is not column-major and evaluate copies it again
             stack = np.stack([values[a].T for a in group]).reshape(
                 len(group), phi.domain_dim, -1)
             vals = evaluate(phi, stack.swapaxes(1, 2))
@@ -153,7 +154,7 @@ class Reducer:
         return stack.max(axis=0) if self.mode == "max" else stack.mean(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralLayer(_StagePair):
     """out_beta = op(values of aggregation[beta]), with no imposed shape."""
 

@@ -129,8 +129,9 @@ def multi_mixed_difference(section: Section, slots: Sequence[int], base,
     pts = np.tile(np.asarray(base, dtype=float), (2 ** n, 1))
     pts[:, slots] += h * bits[order]
     signs = (-1) ** (n - sizes[order])
-    vals = evaluate(section, pts)
-    return sum(s * v for s, v in zip(signs.tolist(), vals))
+    rows = signs[:, None] * evaluate(section, pts)
+    # one left-to-right pass from +0.0, as a Python sum from int 0 adds
+    return np.add.accumulate(np.vstack((np.zeros(rows.shape[1]), rows)))[-1]
 
 
 def exact_mixed_difference(coeffs: Sequence[dict[tuple[int, ...], Fraction]],
@@ -163,7 +164,8 @@ def exact_mixed_difference(coeffs: Sequence[dict[tuple[int, ...], Fraction]],
     return out
 
 
-def _seeded_polynomial(domain_dim: int, k: int, rng) -> Section:
+def _seeded_coefficients(domain_dim: int, k: int, rng
+                         ) -> list[dict[tuple[int, ...], Fraction]]:
     """Three random monomials of degree <= 2, small integer coefficients."""
     coeffs = [dict() for _ in range(k)]
     for _ in range(3):
@@ -175,9 +177,24 @@ def _seeded_polynomial(domain_dim: int, k: int, rng) -> Section:
             c = int(rng.integers(-3, 4))
             if c:
                 coeffs[s][key] = coeffs[s].get(key, Fraction(0)) + c
-    for s in range(k):
-        coeffs[s] = {m: c for m, c in coeffs[s].items() if c}
-    return polynomial_section(domain_dim, k, coeffs)
+    return [{m: c for m, c in poly.items() if c} for poly in coeffs]
+
+
+def _seeded_polynomial(domain_dim: int, k: int, rng) -> Section:
+    return polynomial_section(domain_dim, k,
+                              _seeded_coefficients(domain_dim, k, rng))
+
+
+def _pull_back(acc: list[dict], coeffs: Sequence[dict], slots: Sequence[int],
+               dim: int, sign: int) -> None:
+    """acc += sign * coeffs pulled back along a projection, per output:
+    exponent t moves to slot ``slots[t]`` of a length-dim monomial."""
+    for out, poly in zip(acc, coeffs):
+        for mono, c in poly.items():
+            moved = [0] * dim
+            for t, e in enumerate(mono):
+                moved[slots[t]] += e
+            _accumulate(out, tuple(moved), sign * c)
 
 
 def surjectivity_witness(cover: Cover, fibers: Sequence[int], k: int,
@@ -208,22 +225,18 @@ def surjectivity_witness(cover: Cover, fibers: Sequence[int], k: int,
     target = multi_mixed_difference(h, probe_slots, base, 1.0)
     target_val = float(np.max(np.abs(target)))
 
+    # constants have zero alternating difference, so an element with no
+    # coordinates draws no polynomial
+    pulls = [projection_map(fibers, U, el).slots for el in cover.memberships]
+    pulls = [slots for slots in pulls if slots]
     rng = np.random.default_rng(seed)
     worst = Fraction(0)
     for _ in range(n_trials):
-        parts = []
-        for el in cover.memberships:
-            d_a = open_set_dim(el, fibers)
-            if d_a == 0:
-                continue  # constants have zero alternating difference
-            g = _seeded_polynomial(d_a, k, rng)
-            parts.append(compose_coord(g, projection_map(fibers, U, el)).body)
-        if not parts:
-            continue
-        sep = Section(domain_dim=d_U, codomain_dim=k,
-                      body=parts[0] if len(parts) == 1 else Sum(tuple(parts)))
-        diff = exact_mixed_difference(polynomial_coefficients(sep),
-                                      probe_slots, base, 1)
+        sep = [dict() for _ in range(k)]
+        for slots in pulls:
+            _pull_back(sep, _seeded_coefficients(len(slots), k, rng), slots,
+                       d_U, 1)
+        diff = exact_mixed_difference(sep, probe_slots, base, 1)
         worst = max(worst, *map(abs, diff))
 
     verdict = target_val == 1.0 and worst == 0
@@ -510,27 +523,21 @@ def kernel_report(cover: Cover, k: int = 1, seed: int = 0) -> WitnessReport:
     n = len(mems)
     rng = np.random.default_rng(seed)
 
-    gen: dict[tuple[int, int], Section] = {}
+    gen: dict[tuple[int, int], list[dict]] = {}
     pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
              if mems[i] & mems[j]]
     for (i, j) in pairs[:3]:
         d = open_set_dim(mems[i] & mems[j], fibers)
-        gen[(i, j)] = _seeded_polynomial(d, k, rng)
+        gen[(i, j)] = _seeded_coefficients(d, k, rng)
 
     locals_: list[Section] = []
     for a in range(n):
         acc = [dict() for _ in range(k)]
         d_a = open_set_dim(mems[a], fibers)
-        for (i, j), sec in gen.items():
-            if a not in (i, j):
-                continue
-            sign = 1 if a == i else -1
-            ext = compose_coord(
-                sec, projection_map(fibers, mems[a], mems[i] & mems[j]))
-            ext_coeffs = polynomial_coefficients(ext)
-            for s in range(k):
-                for mono, c in ext_coeffs[s].items():
-                    _accumulate(acc[s], mono, sign * c)
+        for (i, j), coeffs in gen.items():
+            if a in (i, j):
+                pull = projection_map(fibers, mems[a], mems[i] & mems[j])
+                _pull_back(acc, coeffs, pull.slots, d_a, 1 if a == i else -1)
         locals_.append(polynomial_section(d_a, k, acc))
 
     try:

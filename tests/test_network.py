@@ -478,3 +478,16 @@ def test_offsets_add_after_each_phi():
                 np.full_like(good, np.inf)):
         with pytest.raises(ValueError):
             replace(layer, offsets=bad)
+
+
+def test_an_offset_layer_and_its_network_differ_from_the_clean_ones():
+    net = build_cnn(4, seed=1)
+    layer = net.layers[0]
+    shifted = replace(layer, offsets=np.ones((len(layer.phi), layer.out_dim)))
+    moved = replace(net, layers=(shifted, *net.layers[1:]))
+    assert shifted != layer and moved != net
+    x = np.random.default_rng(4).standard_normal(net.input_dim)
+    assert not np.array_equal(forward(moved, x).output, forward(net, x).output)
+    # layers compare by identity, so equal fields do not make equal layers
+    assert replace(layer) != layer
+    assert net == replace(net)

@@ -14,11 +14,13 @@ from coversheaf._linalg import nullspace_basis
 from coversheaf.cech import cech_cohomology, sheaf_axiom_check
 from coversheaf.topology import (CoverSequence, MarkedSpace,
                                  global_stage, make_cover, singleton_stage)
-from coversheaf.sections import (ACTIVATIONS, affine_section, compose_coord,
-                                 constant_section, evaluate,
+from coversheaf.sections import (ACTIVATIONS, CoordMap, Section, Sum,
+                                 _accumulate, affine_section, compose_coord,
+                                 constant_section, evaluate, open_set_dim,
                                  polynomial_coefficients, polynomial_section,
-                                 product_counterexample, sections_equal,
-                                 slot_layout, zero_pad_map, zero_section)
+                                 product_counterexample, projection_map,
+                                 sections_equal, slot_layout, zero_pad_map,
+                                 zero_section)
 from coversheaf.network import (InclusionLayer, Network, build_attention,
                                 build_cnn, build_sequential, forward,
                                 network_from_json)
@@ -88,28 +90,61 @@ def test_multi_mixed_difference():
         multi_mixed_difference(aff, [0, 0], np.zeros(2), 1.0)
 
 
-def test_multi_mixed_difference_matches_the_subset_loop():
+def _subset_loop(sec, slots, base, h):
     """Oracle: one point per subset of the slots, in itertools order,
-    summed with its sign; the results agree bit for bit."""
+    summed with its sign by Python's sum from int 0."""
+    pts, signs = [], []
+    for r in range(len(slots) + 1):
+        for sub in itertools.combinations(slots, r):
+            p = np.array(base, dtype=float)
+            p[list(sub)] += h
+            pts.append(p)
+            signs.append((-1) ** (len(slots) - r))
+    vals = evaluate(sec, np.stack(pts))
+    return sum(s * v for s, v in zip(signs, vals))
+
+
+def _random_coefficients(rng, d: int, k: int, terms: int, degree: int):
+    coeffs = [dict() for _ in range(k)]
+    for _ in range(terms):
+        mono = [0] * d
+        for _ in range(int(rng.integers(0, degree + 1)) if d else 0):
+            mono[int(rng.integers(0, d))] += 1
+        coeffs[int(rng.integers(0, k))][tuple(mono)] = \
+            Fraction(int(rng.integers(-5, 6)), 4)
+    return [{m: c for m, c in poly.items() if c} for poly in coeffs]
+
+
+def test_multi_mixed_difference_matches_the_subset_loop():
+    """Affine and polynomial (Product) sections with k up to 3, and
+    sections whose terms are all +-0.0, agree with the oracle bit for
+    bit, signed zeros included."""
     rng = np.random.default_rng(23)
-    for _ in range(40):
+    cases = []
+    for i in range(80):
         d = int(rng.integers(1, 9))
-        sec = affine_section(rng.standard_normal((2, d)),
-                             bias=rng.standard_normal(2))
+        if i < 40:
+            sec = affine_section(rng.standard_normal((2, d)),
+                                 bias=rng.standard_normal(2))
+        else:
+            k = int(rng.integers(1, 4))
+            sec = polynomial_section(d, k, _random_coefficients(
+                rng, d, k, int(rng.integers(1, 7)), 4))
         size = int(rng.integers(1, d + 1))
         slots = [int(x) for x in rng.choice(d, size=size, replace=False)]
-        base, h = rng.standard_normal(d), 0.37
-        pts, signs = [], []
-        for r in range(size + 1):
-            for sub in itertools.combinations(slots, r):
-                p = base.copy()
-                p[list(sub)] += h
-                pts.append(p)
-                signs.append((-1) ** (size - r))
-        vals = evaluate(sec, np.stack(pts))
-        want = sum(s * v for s, v in zip(signs, vals))
+        cases.append((sec, slots, rng.standard_normal(d), 0.37))
+    # every term is +0.0 or -0.0; with no slot the one term is -0.0,
+    # which a sum from +0.0 turns into +0.0
+    signed_zero = constant_section(3, [-0.0, 0.0, -0.0])
+    for slots in ([], [1], [0, 2], [0, 1, 2]):
+        cases.append((signed_zero, slots, np.zeros(3), 1.0))
+    assert any("Product" in repr(sec) for sec, *_ in cases)
+    for sec, slots, base, h in cases:
+        want = _subset_loop(sec, slots, base, h)
         got = multi_mixed_difference(sec, slots, base, h)
         assert got.tobytes() == want.tobytes()
+    assert multi_mixed_difference(signed_zero, [], np.zeros(3), 1.0).tobytes() \
+        == np.zeros(3).tobytes()
 
 
 def test_glue_round_trip_and_rejection():
@@ -324,6 +359,82 @@ def test_kernel_report_round_trip():
     assert rep.measured["antisymmetric"]
     assert rep.measured["failure"] is None
     assert rep.measured["pair_count"] >= 1
+
+
+def _section_route(parts, k: int):
+    """Oracle for the coefficient-table pull-back: each (coeffs, cmap,
+    sign) part as a polynomial Section precomposed with its projection
+    ``cmap``, the parts summed as Section nodes, the sum read back as
+    coefficient tables."""
+    bodies = []
+    for coeffs, cmap, sign in parts:
+        signed = [{m: sign * c for m, c in poly.items()} for poly in coeffs]
+        sec = polynomial_section(len(cmap.slots), k, signed)
+        bodies.append(compose_coord(sec, cmap).body)
+    dim = parts[0][1].source_dim
+    body = bodies[0] if len(bodies) == 1 else Sum(tuple(bodies))
+    return polynomial_coefficients(Section(domain_dim=dim, codomain_dim=k,
+                                           body=body))
+
+
+def _section_pull_back(acc, coeffs, slots, dim, sign):
+    """witnesses._pull_back, taken through the Section oracle."""
+    parts = [(coeffs, CoordMap(dim, tuple(slots)), sign)]
+    for out, poly in zip(acc, _section_route(parts, len(acc))):
+        for mono, c in poly.items():
+            _accumulate(out, mono, c)
+
+
+def test_pull_back_matches_the_section_route():
+    """Elements pulled back to the union (the surjectivity trials) and
+    overlaps pulled back to an element (the kernel locals), on the
+    acceptance covers and 200 random covers, k in {1, 2}."""
+    rng = np.random.default_rng(29)
+    cases = [(c.space.fiber_dims, c.memberships) for c, _ in sweep_covers()]
+    for mems in random_memberships(count=200, seed=71):
+        n = max((p for m in mems for p in m), default=1)
+        cases.append((tuple(int(f) for f in rng.integers(1, 3, size=n)), mems))
+    checked = 0
+    for fibers, mems in cases:
+        union = frozenset().union(*mems)
+        for big, smalls in [(union, mems)] + [(m, [m & o for o in mems])
+                                              for m in mems[:3]]:
+            k = int(rng.integers(1, 3))
+            parts = [(_random_coefficients(rng, open_set_dim(s, fibers), k,
+                                           3, 3),
+                      projection_map(fibers, big, s), int(rng.choice([-1, 1])))
+                     for s in smalls]
+            acc = [dict() for _ in range(k)]
+            for coeffs, cmap, sign in parts:
+                witnesses._pull_back(acc, coeffs, cmap.slots, cmap.source_dim,
+                                     sign)
+            assert acc == _section_route(parts, k)
+            checked += any(acc)
+    assert len(cases) == 289 and checked > 600
+
+
+def _reports(covers, seeds):
+    out = []
+    for cover, k in covers:
+        for seed in seeds:
+            try:
+                out.append(surjectivity_witness(cover, cover.space.fiber_dims,
+                                                k, n_trials=5, seed=seed))
+            except ValueError as e:
+                out.append(str(e))
+            out.append(kernel_report(cover, k, seed=seed))
+    return [r if isinstance(r, str) else r.to_json() for r in out]
+
+
+def test_table_route_reports_match_the_section_route(monkeypatch):
+    covers = list(sweep_covers())
+    covers += [(abstract_cover(chain(6), (1, 2, 1, 1, 2, 1, 1)), 2),
+               (abstract_cover(complement(5)), 1)]
+    seeds = (0, 7, 48592)
+    tables = _reports(covers, seeds)
+    monkeypatch.setattr(witnesses, "_pull_back", _section_pull_back)
+    assert _reports(covers, seeds) == tables
+    assert sum(isinstance(r, dict) and r["verdict"] for r in tables) > 300
 
 
 def test_attack_spec_displacement():
