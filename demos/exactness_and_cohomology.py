@@ -6,8 +6,8 @@ two-sided gluing axiom check, and integer-rank cohomology in degrees
 numbers are exact.
 """
 
-from coversheaf.cech import (cech_cohomology, restriction_matrix,
-                             sheaf_axiom_check)
+from coversheaf.cech import cech_cohomology, sheaf_axiom_check
+from coversheaf.sections import projection_map
 from coversheaf.topology import MarkedSpace, make_cover
 
 
@@ -19,8 +19,8 @@ def main() -> None:
     U = frozenset({1, 2, 3})
     print("restriction of Hom(union) onto each element:")
     for i, el in enumerate(cover.memberships):
-        m = restriction_matrix(U, el, fibers, k=1)
-        print(f"  U{i} {sorted(el)}: shape {m.shape}, "
+        m = projection_map(fibers, U, el)
+        print(f"  U{i} {sorted(el)}: shape {(len(m.slots), m.source_dim)}, "
               f"rows select the surviving coordinates")
 
     rep = sheaf_axiom_check(cover, fibers, k=1)

@@ -9,9 +9,8 @@ with exact rational coefficients throughout.
 
 from fractions import Fraction
 
-from coversheaf.sections import (compose_coord, polynomial_coefficients,
-                                 polynomial_section, sections_equal,
-                                 zero_pad_map)
+from coversheaf.sections import (compose_coord, polynomial_section,
+                                 sections_equal, zero_pad_map)
 from coversheaf.topology import MarkedSpace, make_cover
 from coversheaf.witnesses import (cosheaf_kernel_decompose,
                                   glue_inclusion_exclusion)
@@ -40,14 +39,11 @@ def main() -> None:
     family = cosheaf_kernel_decompose([f0, f1], chain)
     mems = chain.memberships
     print("\npairwise decomposition of the zero-sum family:")
-    for (a, b), sec in sorted(family.items()):
-        coeffs = polynomial_coefficients(sec)[0]
+    for (a, b), coeffs in sorted(family.items()):
         where = sorted(mems[a] & mems[b])
-        print(f"  f[{a},{b}] on points {where}: {dict(coeffs)}")
-    anti = all(
-        polynomial_coefficients(family[(b, a)])[0]
-        == {m: -c for m, c in polynomial_coefficients(sec)[0].items()}
-        for (a, b), sec in family.items())
+        print(f"  f[{a},{b}] on points {where}: {coeffs[0]}")
+    anti = all(family[(b, a)][0] == {m: -c for m, c in coeffs[0].items()}
+               for (a, b), coeffs in family.items())
     print("antisymmetric:", anti)
 
 

@@ -18,8 +18,7 @@ from .sections import (ACTIVATIONS, Activation, Section, affine_section,
                        projection_map, sections_equal, slot_layout,
                        zero_pad_map, zero_section)
 from .cech import (CechComplex, ExactnessReport, build_cech_complex,
-                   cech_cohomology, hom_report_json, restriction_matrix,
-                   sheaf_axiom_check)
+                   cech_cohomology, hom_report_json, sheaf_axiom_check)
 from .network import (Deviation, ForwardResult, GeneralLayer,
                       InclusionLayer, MultiHeadAttentionOp, Network,
                       Reducer, build_attention, build_cnn, build_rnn_cover,

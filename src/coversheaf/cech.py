@@ -38,22 +38,6 @@ import numpy as np
 
 from ._linalg import exact_rank
 from .topology import Cover, MarkedSpace, _at_least, make_cover
-from .sections import open_set_dim, projection_map
-
-
-def restriction_matrix(big: frozenset[int], small: frozenset[int],
-                       fibers: Sequence[int], k: int) -> np.ndarray:
-    """Matrix of Hom(R^{d_big}, R^k) -> Hom(R^{d_small}, R^k).
-
-    Acts on row-major flattened matrices; it is a 0/1 column-selection
-    operator of shape (k*d_small) x (k*d_big).  An empty ``small`` gives
-    the unique map to the zero space (0 rows).
-    """
-    if not small <= big:
-        raise ValueError("restriction requires the small set inside the big one")
-    select = np.eye(open_set_dim(big, fibers), dtype=np.int64)[
-        list(projection_map(fibers, big, small).slots)]
-    return np.kron(np.eye(k, dtype=np.int64), select)
 
 
 @dataclass(frozen=True)

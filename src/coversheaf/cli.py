@@ -77,15 +77,6 @@ def _document_cover(path: str):
     return space, covers
 
 
-def _is_singleton_stage(cover) -> bool:
-    return cover.memberships == tuple(
-        frozenset({p}) for p in cover.space.points)
-
-
-def _is_global_stage(cover) -> bool:
-    return cover.memberships == (frozenset(cover.space.points),)
-
-
 def _factors_entries(net, samples: int, tol: float, seed: int) -> list[dict]:
     out = []
     for idx, layer in enumerate(net.layers):
@@ -105,10 +96,11 @@ def _axioms_entry(seq: CoverSequence) -> dict:
 def _cmd_axioms(args) -> tuple[list[dict], dict]:
     space, covers = _document_cover(args.cover)
     stages = list(covers)
-    if not _is_singleton_stage(stages[0]):
-        stages.insert(0, singleton_stage(space))
-    if not _is_global_stage(stages[-1]):
-        stages.append(global_stage(space))
+    first, last = singleton_stage(space), global_stage(space)
+    if stages[0].memberships != first.memberships:
+        stages.insert(0, first)
+    if stages[-1].memberships != last.memberships:
+        stages.append(last)
     seq = CoverSequence(space=space, stages=tuple(stages))
     config = {"cover": args.cover, "seed": args.seed}
     return [_axioms_entry(seq)], config

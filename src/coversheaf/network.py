@@ -36,17 +36,22 @@ from .sections import (ACTIVATIONS, Activation, Const, CoordMap, Node,
 
 @dataclass(frozen=True, eq=False)
 class _StagePair:
-    """What every layer carries: its stage pair, and per output element
-    the input elements it aggregates, each contained in the output.
+    """What every layer carries: its stage pair, per output element the
+    input elements it aggregates, each contained in the output, and the
+    width of every output value.
     Layers compare by identity: an offset layer never equals its source."""
 
     input_cover: Cover
     output_cover: Cover
     aggregation: tuple[tuple[int, ...], ...]
+    out_dim: int
 
     def __post_init__(self):
-        agg = tuple(tuple(a) for a in self.aggregation)
+        agg = tuple(tuple(_json_int(a, "aggregation") for a in row)
+                    for row in self.aggregation)
         object.__setattr__(self, "aggregation", agg)
+        object.__setattr__(self, "out_dim", _at_least(
+            "out_dim", _json_int(self.out_dim, "out_dim")))
         if len(agg) != len(self.output_cover.memberships):
             raise ValueError("one aggregation list per output element required")
         inputs = self.input_cover.memberships
@@ -72,7 +77,6 @@ class InclusionLayer(_StagePair):
 
     phi: tuple[Section, ...]
     activation: str
-    out_dim: int
     offsets: np.ndarray | None = None
 
     def __post_init__(self):
@@ -159,7 +163,6 @@ class GeneralLayer(_StagePair):
     """out_beta = op(values of aggregation[beta]), with no imposed shape."""
 
     op: Callable[[Sequence[np.ndarray]], np.ndarray]
-    out_dim: int
 
     def apply(self, values: Sequence[np.ndarray]) -> list[np.ndarray]:
         return [np.asarray(self.op([values[a] for a in atuple]), dtype=float)
@@ -678,8 +681,6 @@ def network_from_json(source) -> Network:
         seq = CoverSequence(space=space, stages=tuple(covers))
         layers: list[Layer] = []
         for i, entry in enumerate(obj["layers"]):
-            agg = tuple(tuple(_json_int(a, "aggregation") for a in row)
-                        for row in entry["aggregation"])
             if entry["kind"] == "inclusion":
                 phis = []
                 for spec in entry["phi"]:
@@ -690,14 +691,14 @@ def network_from_json(source) -> Network:
                                                    spec.get("bias")))
                 layers.append(InclusionLayer(
                     input_cover=covers[i], output_cover=covers[i + 1],
-                    aggregation=agg, phi=tuple(phis),
+                    aggregation=entry["aggregation"], phi=tuple(phis),
                     activation=entry.get("activation", "identity"),
-                    out_dim=_json_int(entry["out_dim"], "out_dim")))
+                    out_dim=entry["out_dim"]))
             elif entry["kind"] == "general":
                 layers.append(GeneralLayer(
                     input_cover=covers[i], output_cover=covers[i + 1],
-                    aggregation=agg, op=Reducer(entry["op"]),
-                    out_dim=_json_int(entry["out_dim"], "out_dim")))
+                    aggregation=entry["aggregation"], op=Reducer(entry["op"]),
+                    out_dim=entry["out_dim"]))
             else:
                 raise ValueError(f"unknown layer kind {entry['kind']!r}")
         return Network(space=space, sequence=seq, layers=tuple(layers))

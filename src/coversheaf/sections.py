@@ -220,6 +220,8 @@ class Section:
     _last: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.__dict__.update(domain_dim=_json_int(self.domain_dim, "domain_dim"),
+                             codomain_dim=_json_int(self.codomain_dim, "codomain_dim"))
         nodes: list[Node] = []
         pos: dict[int, int] = {}  # by id(node); -1 while children pend
         width: list[int] = []
@@ -675,6 +677,5 @@ def section_from_json(obj: dict) -> Section:
             raise ValueError(f"unknown node kind {entry['kind']!r}")
         node = cls(*[decode(name, entry[name]) for name in _FIELDS[cls]])
         built[_json_int(entry["id"], "id")] = node
-    return Section(domain_dim=_json_int(obj["domain_dim"], "domain_dim"),
-                   codomain_dim=_json_int(obj["codomain_dim"], "codomain_dim"),
+    return Section(domain_dim=obj["domain_dim"], codomain_dim=obj["codomain_dim"],
                    body=ref(obj["root"], "root"))

@@ -52,16 +52,21 @@ class MarkedSpace:
             raise ValueError(f"unknown structure kind {self.structure[0]!r}")
         if self.structure[0] == "grid":
             _, rows, cols = self.structure
+            rows, cols = _json_int(rows, "rows"), _json_int(cols, "cols")
             if rows < 1 or cols < 1:
                 raise ValueError(
                     f"grid rows and cols must be at least 1, got {rows} x {cols}")
             if rows * cols != self.n_points:
                 raise ValueError("grid shape does not match n_points")
+            object.__setattr__(self, "structure", ("grid", rows, cols))
         if self.structure[0] == "graph":
-            for e in self.structure[1]:
+            edges = tuple(tuple(_json_int(p, "edges") for p in e)
+                          for e in self.structure[1])
+            for e in edges:
                 if len(e) != 2 or not all(1 <= p <= self.n_points for p in e):
                     raise ValueError(f"graph edge {list(e)} must join two of "
                                      f"the points 1..{self.n_points}")
+            object.__setattr__(self, "structure", ("graph", edges))
 
     @property
     def points(self) -> range:
@@ -264,11 +269,15 @@ def check_na_axioms(seq: CoverSequence) -> AxiomReport:
     return AxiomReport(stages=stages, all_hold=all(s.all_hold for s in stages))
 
 
+class _NotAnInteger(ValueError):
+    """A field that stores an integer was given something else."""
+
+
 def _json_int(value, field: str) -> int:
     """An integer read from JSON: an int (any ``__index__`` type), or a
     float with an integral value.  Bools, strings and fractional floats
-    raise ValueError.  ``operator.index`` rather than an ABC check keeps
-    it cheap enough for every ``Coords`` index."""
+    raise ``_NotAnInteger``, a ValueError.  ``operator.index`` rather
+    than an ABC check keeps it cheap enough for every ``Coords`` index."""
     if isinstance(value, float):
         if value.is_integer():
             return int(value)
@@ -277,7 +286,7 @@ def _json_int(value, field: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{field} must be an integer, got {value!r}")
+    raise _NotAnInteger(f"{field} must be an integer, got {value!r}")
 
 
 def _at_least(field: str, value, low=1, kind=int):
@@ -311,11 +320,9 @@ def structure_from_json(obj: dict) -> tuple:
         raise ValueError(f"structure must be a JSON object, got {obj!r}")
     kind = obj.get("kind", "abstract")
     if kind == "grid":
-        return ("grid", _json_int(obj["rows"], "rows"),
-                _json_int(obj["cols"], "cols"))
+        return ("grid", obj["rows"], obj["cols"])
     if kind == "graph":
-        return ("graph", tuple(tuple(_json_int(x, "edges") for x in e)
-                               for e in obj.get("edges", [])))
+        return ("graph", tuple(tuple(e) for e in obj.get("edges", [])))
     if kind == "line":
         return ("line",)
     if kind == "abstract":
@@ -329,12 +336,14 @@ def space_from_json(obj) -> MarkedSpace:
     if not isinstance(obj, dict):
         raise ValueError("space document must be a JSON object")
     try:
-        n = _json_int(obj["n_points"], "n_points")
-        fibers = tuple(_json_int(x, "fiber_dims") for x in obj["fiber_dims"])
+        n, fibers = obj["n_points"], tuple(obj["fiber_dims"])
         structure = structure_from_json(obj.get("structure", {"kind": "abstract"}))
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed space document: {e}") from e
-    return MarkedSpace(n_points=n, fiber_dims=fibers, structure=structure)
+    try:  # the constructor checks the integers; a bad one is a bad document
+        return MarkedSpace(n_points=n, fiber_dims=fibers, structure=structure)
+    except _NotAnInteger as e:
+        raise ValueError(f"malformed space document: {e}") from e
 
 
 def space_to_json(space: MarkedSpace) -> dict:

@@ -432,15 +432,16 @@ def _global_monomial(mono, layout: dict[int, range]) -> tuple:
 
 
 def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
-                             ) -> dict[tuple[int, int], Section]:
+                             ) -> dict[tuple[int, int], list[dict[tuple, Fraction]]]:
     """Split a zero-sum polynomial family into antisymmetric pairwise parts.
 
     Input: one polynomial section per cover element whose zero-padded
     extensions sum to zero on the union (checked coefficient-exactly).
-    Output: sections f[(i, j)] over the pairwise overlaps, for all
-    ordered pairs, with f[(j, i)] = -f[(i, j)] and, for every element
-    a, f_a = sum over b of the extension of f[(a, b)] to U_a, exactly
-    on coefficients.
+    Output: the parts f[(i, j)] over the pairwise overlaps, for all
+    ordered pairs, as per-output monomial coefficient tables whose
+    exponents follow the overlap's ``slot_layout``; f[(j, i)] = -f[(i, j)]
+    and, for every element a, f_a = sum over b of the extension of
+    f[(a, b)] to U_a, exactly on coefficients.
 
     The split works monomial by monomial: the coefficient vectors of a
     monomial across the elements able to carry it sum to zero, so their
@@ -486,7 +487,7 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
 
     # write each pair's overlap-local coefficients once; the exact audit
     # takes f[(a, b)] off element a and f[(b, a)] = -f[(a, b)] off b
-    out: dict[tuple[int, int], Section] = {}
+    out: dict[tuple[int, int], list[dict[tuple, Fraction]]] = {}
     for (a, b), pair_parts in parts.items():
         layout = slot_layout(mems[a] & mems[b], fibers)
         d = open_set_dim(mems[a] & mems[b], fibers)
@@ -500,9 +501,8 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
                     coeffs[s][tuple(mono)] = c
                     _accumulate(left, (a, key, s), -c)
                     _accumulate(left, (b, key, s), c)
-        out[(a, b)] = polynomial_section(d, k, coeffs)
-        neg = [{m: -c for m, c in per.items()} for per in coeffs]
-        out[(b, a)] = polynomial_section(d, k, neg)
+        out[(a, b)] = coeffs
+        out[(b, a)] = [{m: -c for m, c in per.items()} for per in coeffs]
     if left:
         raise KernelPremiseError("internal reconstruction mismatch at "
                                  f"element {min(a for a, _, _ in left)}")
@@ -548,9 +548,8 @@ def kernel_report(cover: Cover, k: int = 1, seed: int = 0) -> WitnessReport:
         failure = str(e)
 
     antisym = True
-    for (a, b), sec in family.items():
-        ca = polynomial_coefficients(sec)
-        cb = polynomial_coefficients(family[(b, a)])
+    for (a, b), ca in family.items():
+        cb = family[(b, a)]
         for s in range(k):
             for mono, c in ca[s].items():
                 if cb[s].get(mono, Fraction(0)) != -c:
@@ -655,9 +654,6 @@ class AttackSpec:
     def displacement(self) -> float:
         return _p_norm([float(v) for vec in self.perturbations for v in vec],
                        self.p)
-
-    def to_json(self) -> dict:
-        return _plain(self)
 
 
 def _incidence(layer: InclusionLayer) -> np.ndarray:

@@ -257,18 +257,20 @@ def test_pairwise_kernel_decomposition_round_trip():
                    for a in range(len(mems))]
 
         family = cosheaf_kernel_decompose(locals_, cover)
-        for (a, b), sec in family.items():
-            ca = polynomial_coefficients(sec)
-            cb = polynomial_coefficients(family[(b, a)])
+        for (a, b), ca in family.items():
+            cb = family[(b, a)]
             for s in range(k):
                 assert {m: -c for m, c in ca[s].items()} == cb[s]
         for a in range(len(mems)):
             rebuilt = [dict() for _ in range(k)]
-            for (x, b), sec in family.items():
+            for (x, b), coeffs in family.items():
                 if x != a:
                     continue
+                overlap = mems[a] & mems[b]
+                sec = polynomial_section(open_set_dim(overlap, fibers), k,
+                                         coeffs)
                 ext = compose_coord(sec, projection_map(
-                    fibers, mems[a], mems[a] & mems[b]))
+                    fibers, mems[a], overlap))
                 _add_coeffs(rebuilt, polynomial_coefficients(ext), 1)
             assert rebuilt == acc[a]
         done += 1

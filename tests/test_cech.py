@@ -5,14 +5,27 @@ import itertools
 import numpy as np
 import pytest
 
-from coversheaf.sections import open_set_dim, slot_layout
+from coversheaf.sections import open_set_dim, projection_map, slot_layout
 from coversheaf.topology import MarkedSpace, make_cover
 from coversheaf.cech import (ExactnessReport, _block_pass,
                              build_cech_complex, cech_cohomology,
-                             hom_report_json, restriction_matrix,
-                             sheaf_axiom_check)
+                             hom_report_json, sheaf_axiom_check)
 from coversheaf._linalg import exact_rank, nullspace_basis
 from test_acceptance import sweep_covers
+
+
+def restriction_matrix(big, small, fibers, k) -> np.ndarray:
+    """Matrix of Hom(R^{d_big}, R^k) -> Hom(R^{d_small}, R^k): the dense
+    oracle for restriction.
+
+    Acts on row-major flattened matrices; it is a 0/1 column-selection
+    operator of shape (k*d_small) x (k*d_big).  An empty ``small`` gives
+    the unique map to the zero space (0 rows); a ``small`` outside ``big``
+    raises ValueError.
+    """
+    select = np.eye(open_set_dim(big, fibers), dtype=np.int64)[
+        list(projection_map(fibers, big, small).slots)]
+    return np.kron(np.eye(k, dtype=np.int64), select)
 
 
 def float_rank(matrix, tol: float = 1e-9) -> int:

@@ -51,7 +51,11 @@ def space_documents(draw):
         covers.append([])
     structure = draw(st.sampled_from([
         {"kind": "abstract"}, {"kind": "line"}, {"kind": "grid", "rows": 1, "cols": n},
-        {"kind": "grid", "rows": 2, "cols": 2}]))
+        {"kind": "grid", "rows": 2, "cols": 2}, {"kind": "graph"}]))
+    if structure["kind"] == "graph":
+        point = st.integers(1, n)
+        structure = {**structure, "edges": draw(st.lists(
+            st.lists(point, min_size=2, max_size=2), max_size=4))}
     return {"n_points": n, "fiber_dims": draw(st.lists(st.integers(1, 2),
                                                        min_size=n, max_size=n)),
             "structure": structure, "covers": covers}
@@ -132,3 +136,70 @@ def test_generated_networks(tmp_path, doc, layer, grid, seed):
                      "--layer", str(layer), "--seed", str(seed)])
     assert_contract(["witness", "thm4.3", "--net", str(path),
                      "--grid", str(grid), "--seed", str(seed)])
+
+
+def integer_fields(doc) -> dict[str, list[tuple]]:
+    """The path of every integer a space or network document holds, by
+    the field name its error must carry."""
+    space = doc.get("space", doc)
+    at = ("space",) if "space" in doc else ()
+    structure = space.get("structure", {})
+    out = {"n_points": [at + ("n_points",)],
+           "fiber_dims": [at + ("fiber_dims", i)
+                          for i in range(len(space["fiber_dims"]))]}
+    if structure.get("kind") == "grid":
+        out.update({key: [at + ("structure", key)] for key in ("rows", "cols")})
+    out["edges"] = [at + ("structure", "edges", i, j)
+                    for i in range(len(structure.get("edges", []))) for j in range(2)]
+    for key in ("covers", "stages"):
+        out[key] = [(key, f, e, i) for f, fam in enumerate(doc.get(key, []))
+                    for e, element in enumerate(fam) for i in range(len(element))]
+    layers = doc.get("layers", [])
+    out["out_dim"] = [("layers", li, "out_dim") for li in range(len(layers))]
+    out["aggregation"] = [("layers", li, "aggregation", b, i)
+                          for li, layer in enumerate(layers)
+                          for b, row in enumerate(layer["aggregation"])
+                          for i in range(len(row))]
+    return {name: paths for name, paths in out.items() if paths}
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A valid space or network document with one integer replaced by a
+    bool, a string or a non-integral float; returns (doc, field name)."""
+    if draw(st.booleans()):
+        doc = draw(partition_networks())
+    else:
+        doc = draw(space_documents())
+        doc["covers"] = [fam for fam in doc["covers"] if fam]
+        structure, n = doc["structure"], doc["n_points"]
+        if structure["kind"] == "grid" and structure["rows"] * structure["cols"] != n:
+            doc["structure"] = {"kind": "grid", "rows": 1, "cols": n}
+    by_name = integer_fields(doc)
+    name = draw(st.sampled_from(sorted(by_name)))
+    path = draw(st.sampled_from(by_name[name]))
+    bad = draw(st.one_of(
+        st.booleans(), st.text(max_size=3),
+        st.floats(allow_nan=False).filter(lambda x: not x.is_integer())))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    return doc, name
+
+
+@generated(120)
+@given(case=corrupted_documents())
+def test_generated_non_integers_exit_2_naming_the_field(tmp_path, case):
+    doc, name = case
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = (["witness", "thm4.2", "--net", str(path)] if "layers" in doc
+            else ["cohomology", "--cover", str(path)])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert (code, out.getvalue()) == (2, ""), (doc, lines)
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert f"{name} must be an integer" in lines[0], (name, lines)

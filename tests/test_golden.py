@@ -15,12 +15,19 @@ The ``build_*`` files pin the builders' weights: the JSON of three
 networks and the attention block's phi and Q/K/Z matrices.  A reordered
 RNG draw changes them.  These values are seeded draws divided by
 ``math.sqrt``, so they do not depend on BLAS either.
+
+The ``demo_*`` files hold the stdout of each script under ``demos/``.
+Most of their floats are exact or rounded to six places; the residues
+printed in scientific notation (a max deviation of 8.88e-16, an output
+change of 2.22e-16) are IEEE rounding of small products, so a BLAS
+that orders those sums differently would move them.
 Regenerate a file only with a change that means to alter its report,
 and name that change in CHANGES.md.
 """
 
 import json
 import re
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +40,7 @@ from coversheaf.sections import section_to_json
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE.parent / "fixtures"
+DEMOS = HERE.parent / "demos"
 GOLDEN = HERE / "golden"
 
 CASES = {
@@ -113,3 +121,9 @@ def builder_text(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_builder_weights_match_golden(name):
     assert builder_text(name) == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DEMOS.glob("*.py")))
+def test_demo_output_matches_golden(capsys, name):
+    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / f"demo_{name}.txt").read_text()

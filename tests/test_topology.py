@@ -8,9 +8,12 @@ import pytest
 from coversheaf.topology import (Cover, CoverSequence, MarkedSpace,
                                  check_na_axioms, global_stage,
                                  load_space_document, make_cover,
-                                 proper_unions, singleton_stage)
+                                 proper_unions, singleton_stage,
+                                 space_from_json)
 from coversheaf.graphs import Graph
-from coversheaf.network import build_cnn, build_rnn_cover, build_sequential
+from coversheaf.network import (GeneralLayer, InclusionLayer, Reducer,
+                                build_cnn, build_rnn_cover, build_sequential)
+from coversheaf.sections import Coords, Section, affine_section
 from test_acceptance import sweep_covers
 
 
@@ -52,6 +55,19 @@ def test_cover_points_are_one_based():
         make_cover(space(3), [[1], [0, 1]])
 
 
+def _layer(kind, **fields):
+    """A one-layer stage pair on two points: both singletons into one."""
+    sp = space(2)
+    pair = {"input_cover": singleton_stage(sp),
+            "output_cover": global_stage(sp), "aggregation": ((0, 1),),
+            "out_dim": 1}
+    if kind is InclusionLayer:
+        pair.update(phi=(affine_section([[1.0]]),) * 2, activation="identity")
+    else:
+        pair.update(op=Reducer("max"))
+    return kind(**{**pair, **fields})
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: MarkedSpace(n_points=3, fiber_dims=(1.5, 1, True)),
      "fiber_dims must be an integer, got 1.5"),
@@ -72,10 +88,50 @@ def test_cover_points_are_one_based():
     (lambda: Graph(n=3, labels=(0.5, 1, 2)),
      "labels must be an integer, got 0.5"),
     (lambda: Graph(n="3"), "n must be an integer, got '3'"),
+    (lambda: MarkedSpace(2, (1, 1), ("graph", ((1, 1.5),))),
+     "edges must be an integer, got 1.5"),
+    (lambda: MarkedSpace(2, (1, 1), ("graph", ((True, 2),))),
+     "edges must be an integer, got True"),
+    (lambda: MarkedSpace(4, (1,) * 4, ("grid", "2", 2)),
+     "rows must be an integer, got '2'"),
+    (lambda: MarkedSpace(4, (1,) * 4, ("grid", 2, 2.5)),
+     "cols must be an integer, got 2.5"),
+    (lambda: Section(domain_dim=2.5, codomain_dim=1, body=Coords((0,))),
+     "domain_dim must be an integer, got 2.5"),
+    (lambda: Section(domain_dim=True, codomain_dim=1, body=Coords((0,))),
+     "domain_dim must be an integer, got True"),
+    (lambda: Section(domain_dim=1, codomain_dim="1", body=Coords((0,))),
+     "codomain_dim must be an integer, got '1'"),
+    (lambda: _layer(GeneralLayer, out_dim=0), "out_dim must be at least 1"),
+    (lambda: _layer(GeneralLayer, out_dim=-1), "out_dim must be at least 1"),
+    (lambda: _layer(GeneralLayer, out_dim=1.5),
+     "out_dim must be an integer, got 1.5"),
+    (lambda: _layer(GeneralLayer, out_dim="x"),
+     "out_dim must be an integer, got 'x'"),
+    (lambda: _layer(InclusionLayer, aggregation=((True, 0),)),
+     "aggregation must be an integer, got True"),
+    (lambda: _layer(GeneralLayer, aggregation=((0, 0.5),)),
+     "aggregation must be an integer, got 0.5"),
 ])
 def test_constructors_refuse_non_integers_and_unknown_points(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n_points": 1.5, "fiber_dims": [1]},
+     "malformed space document: n_points must be an integer, got 1.5"),
+    ({"n_points": 2, "fiber_dims": [1, 1],
+      "structure": {"kind": "graph", "edges": [[1, True]]}},
+     "malformed space document: edges must be an integer, got True"),
+    ({"n_points": 0, "fiber_dims": []}, "a marked space needs at least one point"),
+])
+def test_space_documents_name_a_non_integer_as_malformed(doc, message):
+    """The constructor checks the integers, yet a space document keeps
+    the reader's prefix on them and only on them."""
+    with pytest.raises(ValueError) as info:
+        space_from_json(doc)
+    assert str(info.value) == message
 
 
 def test_constructors_read_integral_floats_and_numpy_ints():
@@ -86,6 +142,15 @@ def test_constructors_read_integral_floats_and_numpy_ints():
     assert cover.memberships == (frozenset({1, 2}), frozenset({3}))
     g = Graph(n=np.int64(3), edges=((2.0, np.int32(1)),), labels=(1.0, 0, 0))
     assert (g.n, g.edges, g.labels) == (3, ((1, 2),), (1, 0, 0))
+    grid = MarkedSpace(4, (1,) * 4, ("grid", 2.0, np.int64(2))).structure
+    graph = MarkedSpace(3, (1,) * 3, ("graph", [[1.0, np.int32(3)]])).structure
+    assert (grid, graph) == (("grid", 2, 2), ("graph", ((1, 3),)))
+    assert [type(p) for p in (*grid[1:], *graph[1][0])] == [int] * 4
+    sec = Section(domain_dim=1.0, codomain_dim=np.int64(1), body=Coords((0,)))
+    assert [type(d) for d in (sec.domain_dim, sec.codomain_dim)] == [int] * 2
+    inc = _layer(InclusionLayer, aggregation=((0.0, 1.0),), out_dim=1.0)
+    assert (inc.aggregation, inc.out_dim) == (((0, 1),), 1)
+    assert [type(x) for x in (*inc.aggregation[0], inc.out_dim)] == [int] * 3
 
 
 def test_cover_validation():
