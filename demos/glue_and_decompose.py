@@ -32,10 +32,11 @@ def main() -> None:
     print(f"glued section matches the hidden one: {res.equal} "
           f"(max deviation {res.max_deviation:.2e})")
 
-    # zero-sum family: +y2 on the first element, -y2 on the second
+    # zero-sum family: +y2 on the first element, -y2 on the second, as
+    # one coefficient table per output over each element's coordinates
     chain = make_cover(space, [[1, 2], [2, 3]])
-    f0 = polynomial_section(2, 1, [{(0, 1): Fraction(1)}])
-    f1 = polynomial_section(2, 1, [{(1, 0): Fraction(-1)}])
+    f0 = [{(0, 1): Fraction(1)}]
+    f1 = [{(1, 0): Fraction(-1)}]
     family = cosheaf_kernel_decompose([f0, f1], chain)
     mems = chain.memberships
     print("\npairwise decomposition of the zero-sum family:")

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .topology import _json_int, _read_source
+from .topology import _json_int, _json_list, _read_source
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,9 @@ def load_graph(source) -> Graph:
         obj = json.loads(text) if stripped.startswith("{") else None
     if obj is not None:
         try:
-            return Graph(n=obj["n"], edges=tuple(obj.get("edges", [])),
-                         labels=tuple(obj.get("labels", ())))
+            edges = _json_list(obj.get("edges", []), "edges", "each edge in edges")
+            labels = _json_list(obj.get("labels", ()), "labels")
+            return Graph(n=obj["n"], edges=tuple(edges), labels=tuple(labels))
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed graph document: {e}") from e
     edges = []

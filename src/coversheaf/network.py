@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .topology import (Cover, CoverSequence, MarkedSpace, _at_least, _decode,
-                       _json_int, global_stage, make_cover, singleton_stage,
-                       space_from_json, space_to_json)
+                       _json_int, _json_list, global_stage, make_cover,
+                       singleton_stage, space_from_json, space_to_json)
 from .sections import (ACTIVATIONS, Activation, Const, CoordMap, Node,
                        Section, Sum, _frozen, affine_section, compose_coord,
                        constant_section, evaluate, section_from_json,
@@ -109,11 +109,9 @@ class InclusionLayer(_StagePair):
                 val = evaluate(phi, first)
                 got[group[0]] = val if off is None else val + off[group[0]]
                 continue
-            # np.stack keeps each .T slab's row-major memory, so this
-            # copy is not column-major and evaluate copies it again
-            stack = np.stack([values[a].T for a in group]).reshape(
-                len(group), phi.domain_dim, -1)
-            vals = evaluate(phi, stack.swapaxes(1, 2))
+            stack = np.stack([values[a] for a in group]).reshape(
+                len(group), -1, phi.domain_dim)
+            vals = evaluate(phi, stack)
             if off is not None:
                 vals += off[group][:, None]
             got.update(zip(group, vals[:, 0] if np.ndim(first) == 1 else vals))
@@ -675,30 +673,26 @@ def network_from_json(source) -> Network:
     obj = _decode(source)
     try:
         space = space_from_json(obj["space"])
+        stages = _json_list(obj["stages"], "stages", "each stage in stages",
+                            "each stage element in stages")
         covers = [make_cover(space, [[_json_int(p, "stages") for p in m]
-                                     for m in fam])
-                  for fam in obj["stages"]]
+                                     for m in fam]) for fam in stages]
         seq = CoverSequence(space=space, stages=tuple(covers))
         layers: list[Layer] = []
-        for i, entry in enumerate(obj["layers"]):
+        for i, entry in enumerate(_json_list(obj["layers"], "layers")):
+            pair = dict(input_cover=covers[i], output_cover=covers[i + 1],
+                        aggregation=_json_list(entry["aggregation"], "aggregation",
+                                               "each aggregation row"),
+                        out_dim=entry["out_dim"])
             if entry["kind"] == "inclusion":
-                phis = []
-                for spec in entry["phi"]:
-                    if "nodes" in spec:
-                        phis.append(section_from_json(spec))
-                    else:
-                        phis.append(affine_section(spec["matrix"],
-                                                   spec.get("bias")))
+                phis = tuple(section_from_json(spec) if "nodes" in spec else
+                             affine_section(spec["matrix"], spec.get("bias"))
+                             for spec in _json_list(entry["phi"], "phi"))
                 layers.append(InclusionLayer(
-                    input_cover=covers[i], output_cover=covers[i + 1],
-                    aggregation=entry["aggregation"], phi=tuple(phis),
-                    activation=entry.get("activation", "identity"),
-                    out_dim=entry["out_dim"]))
+                    **pair, phi=phis,
+                    activation=entry.get("activation", "identity")))
             elif entry["kind"] == "general":
-                layers.append(GeneralLayer(
-                    input_cover=covers[i], output_cover=covers[i + 1],
-                    aggregation=entry["aggregation"], op=Reducer(entry["op"]),
-                    out_dim=entry["out_dim"]))
+                layers.append(GeneralLayer(**pair, op=Reducer(entry["op"])))
             else:
                 raise ValueError(f"unknown layer kind {entry['kind']!r}")
         return Network(space=space, sequence=seq, layers=tuple(layers))

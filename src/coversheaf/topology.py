@@ -289,6 +289,16 @@ def _json_int(value, field: str) -> int:
     raise _NotAnInteger(f"{field} must be an integer, got {value!r}")
 
 
+def _json_list(value, field: str, *inner: str):
+    """A JSON array as given, each entry an array in turn for each name in
+    ``inner``; else a TypeError naming the field, for the reader to report."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{field} must be a list, got {value!r}")
+    for v in value if inner else ():
+        _json_list(v, *inner)
+    return value
+
+
 def _at_least(field: str, value, low=1, kind=int):
     """``value`` as a finite ``kind`` >= ``low``, else a ValueError naming ``field``."""
     value = kind(value)
@@ -322,7 +332,8 @@ def structure_from_json(obj: dict) -> tuple:
     if kind == "grid":
         return ("grid", obj["rows"], obj["cols"])
     if kind == "graph":
-        return ("graph", tuple(tuple(e) for e in obj.get("edges", [])))
+        return ("graph", tuple(map(tuple, _json_list(
+            obj.get("edges", []), "edges", "each edge in edges"))))
     if kind == "line":
         return ("line",)
     if kind == "abstract":
@@ -336,7 +347,7 @@ def space_from_json(obj) -> MarkedSpace:
     if not isinstance(obj, dict):
         raise ValueError("space document must be a JSON object")
     try:
-        n, fibers = obj["n_points"], tuple(obj["fiber_dims"])
+        n, fibers = obj["n_points"], _json_list(obj["fiber_dims"], "fiber_dims")
         structure = structure_from_json(obj.get("structure", {"kind": "abstract"}))
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed space document: {e}") from e
@@ -391,8 +402,10 @@ def load_space_document(source) -> tuple[MarkedSpace, list[Cover]]:
     """
     obj = _decode(source)
     space = space_from_json(obj)
-    covers = []
-    for fam in obj.get("covers", []):
-        covers.append(make_cover(
-            space, [[_json_int(p, "covers") for p in m] for m in fam]))
-    return space, covers
+    try:
+        fams = _json_list(obj.get("covers", []), "covers", "each cover in "
+                          "covers", "each cover element in covers")
+    except TypeError as e:
+        raise ValueError(f"malformed space document: {e}") from e
+    return space, [make_cover(space, [[_json_int(p, "covers") for p in m]
+                                      for m in fam]) for fam in fams]

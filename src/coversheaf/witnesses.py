@@ -20,8 +20,7 @@ from ._linalg import nullspace_basis
 from .topology import Cover, _at_least, _plain, proper_unions
 from .sections import (Affine, Const, Node, Section, Sum, _accumulate,
                        affine_section, compose_coord, coord_map, evaluate,
-                       open_set_dim, polynomial_coefficients,
-                       polynomial_section, product_counterexample,
+                       open_set_dim, polynomial_section, product_counterexample,
                        projection_map, sections_equal, slot_layout,
                        zero_pad_map, zero_section, ACTIVATIONS)
 from .network import (ForwardResult, InclusionLayer, Network, build_cnn,
@@ -180,11 +179,6 @@ def _seeded_coefficients(domain_dim: int, k: int, rng
     return [{m: c for m, c in poly.items() if c} for poly in coeffs]
 
 
-def _seeded_polynomial(domain_dim: int, k: int, rng) -> Section:
-    return polynomial_section(domain_dim, k,
-                              _seeded_coefficients(domain_dim, k, rng))
-
-
 def _pull_back(acc: list[dict], coeffs: Sequence[dict], slots: Sequence[int],
                dim: int, sign: int) -> None:
     """acc += sign * coeffs pulled back along a projection, per output:
@@ -264,20 +258,21 @@ class IncompatibleLocalsError(ValueError):
             f"(max deviation {deviation:.3e})")
 
 
-def _local_family(locals_: Sequence[Section], cover: Cover) -> int:
-    """The codomain dimension shared by one local per cover element,
-    each over its element's coordinates (else ValueError)."""
+def _local_family(shapes: Sequence[tuple[int, set[int]]], cover: Cover) -> int:
+    """The codomain dimension shared by one local per cover element, each
+    over its element's coordinates (else ValueError).  A local is given
+    by its codomain dimension and the set of domain dimensions it reads."""
     mems = cover.memberships
-    if len(locals_) != len(mems):
+    if len(shapes) != len(mems):
         raise ValueError("one local section per cover element required")
-    ks = {s.codomain_dim for s in locals_}
+    ks = {k for k, _ in shapes}
     if len(ks) != 1:
         raise ValueError("locals must share a codomain dimension")
-    for i, s in enumerate(locals_):
+    for i, (_, dims) in enumerate(shapes):
         want = open_set_dim(mems[i], cover.space.fiber_dims)
-        if s.domain_dim != want:
-            raise ValueError(f"local {i} has domain dim {s.domain_dim}, "
-                             f"expected {want}")
+        if dims - {want}:
+            raise ValueError(f"local {i} has domain dim "
+                             f"{min(dims - {want})}, expected {want}")
     return ks.pop()
 
 
@@ -325,7 +320,8 @@ def glue_inclusion_exclusion(locals_: Sequence[Section], cover: Cover,
     IncompatibleLocalsError with the first offending pair (by maximal
     deviation) recorded.
     """
-    k = _local_family(locals_, cover)
+    k = _local_family([(s.codomain_dim, {s.domain_dim}) for s in locals_],
+                      cover)
     fibers = cover.space.fiber_dims
     mems = cover.memberships
     n = len(mems)
@@ -374,7 +370,7 @@ def glue_report(cover: Cover, k: int = 1, tol: float = 1e-9,
     if not U:
         raise ValueError("nothing to glue: the cover covers no point")
     d_U = open_set_dim(U, fibers)
-    hidden = _seeded_polynomial(d_U, k, rng)
+    hidden = polynomial_section(d_U, k, _seeded_coefficients(d_U, k, rng))
     locals_ = [compose_coord(hidden, zero_pad_map(fibers, el, U))
                for el in mems]
     glued = glue_inclusion_exclusion(locals_, cover, tol=tol,
@@ -424,24 +420,19 @@ class KernelPremiseError(ValueError):
         super().__init__(message)
 
 
-def _global_monomial(mono, layout: dict[int, range]) -> tuple:
-    """A local exponent vector as its sorted ((point, offset), exponent)
-    pairs, with the local slots placed by ``layout``."""
-    return tuple(((p, j), mono[s]) for p, slots in layout.items()
-                 for j, s in enumerate(slots) if mono[s])
-
-
-def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
+def cosheaf_kernel_decompose(locals_: Sequence[Sequence[dict]], cover: Cover
                              ) -> dict[tuple[int, int], list[dict[tuple, Fraction]]]:
     """Split a zero-sum polynomial family into antisymmetric pairwise parts.
 
-    Input: one polynomial section per cover element whose zero-padded
-    extensions sum to zero on the union (checked coefficient-exactly).
-    Output: the parts f[(i, j)] over the pairwise overlaps, for all
-    ordered pairs, as per-output monomial coefficient tables whose
-    exponents follow the overlap's ``slot_layout``; f[(j, i)] = -f[(i, j)]
-    and, for every element a, f_a = sum over b of the extension of
-    f[(a, b)] to U_a, exactly on coefficients.
+    Input: one polynomial per cover element, as per-output monomial
+    coefficient tables whose exponents follow the element's
+    ``slot_layout``, and whose zero-padded extensions sum to zero on
+    the union (checked coefficient-exactly).  A Section becomes such a
+    table through ``polynomial_coefficients``.  Output: the parts
+    f[(i, j)] over the pairwise overlaps, for all ordered pairs, as
+    tables in the same form over the overlap's ``slot_layout``;
+    f[(j, i)] = -f[(i, j)] and, for every element a, f_a = sum over b of
+    the extension of f[(a, b)] to U_a, exactly on coefficients.
 
     The split works monomial by monomial: the coefficient vectors of a
     monomial across the elements able to carry it sum to zero, so their
@@ -449,35 +440,39 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
     consecutive overlaps.  A monomial carried by a single element with
     a nonzero coefficient contradicts the premise and is reported.
     """
-    k = _local_family(locals_, cover)
+    k = _local_family([(len(t), {len(m) for poly in t for m in poly})
+                       for t in locals_], cover)
     fibers = cover.space.fiber_dims
-    mems = cover.memberships
+    mems, U = cover.memberships, cover.covered
+    d_U = open_set_dim(U, fibers)
+    pulls = [projection_map(fibers, U, m).slots for m in mems]
 
-    # global monomial -> per-element coefficient vectors; ``left`` holds
-    # each (element, monomial, output slot) coefficient the pairwise
-    # parts must still reconstruct
+    # each monomial keyed once in the union's slot layout (pulled back
+    # along U -> U_a, zero coefficients dropped) -> per-element
+    # coefficient vectors; ``left`` holds each (element, monomial,
+    # output slot) coefficient the pairwise parts must still reconstruct
     table: dict[tuple, dict[int, list[Fraction]]] = {}
     left: dict[tuple, Fraction] = {}
     for a, local in enumerate(locals_):
-        layout = slot_layout(mems[a], fibers)
-        for s, poly in enumerate(polynomial_coefficients(local)):
-            for mono, c in poly.items():
-                key = _global_monomial(mono, layout)
-                vec = table.setdefault(key, {}).setdefault(a, [Fraction(0)] * k)
-                vec[s] = c
+        lifted = [dict() for _ in range(k)]
+        _pull_back(lifted, local, pulls[a], d_U, 1)
+        for s, poly in enumerate(lifted):
+            for key, c in poly.items():
+                table.setdefault(key, {}).setdefault(a, [Fraction(0)] * k)[s] = c
                 left[(a, key, s)] = c
 
     # each monomial's telescoping prefix sums, by consecutive pair of
     # the elements able to carry it; every stored vector is nonzero and
     # its element carries the monomial, so a zero sum means at least
     # two such elements
+    carried = [set(slots) for slots in pulls]
     parts: dict[tuple[int, int], list[tuple[tuple, list[Fraction]]]] = {}
     for key, vecs in table.items():
         if any(sum(col) for col in zip(*vecs.values())):
             raise KernelPremiseError(
                 "extended locals do not sum to zero", monomial=key)
-        support = {p for (p, _off), _e in key}
-        allowed = [a for a, m in enumerate(mems) if support <= m]
+        support = {t for t, e in enumerate(key) if e}
+        allowed = [a for a, slots in enumerate(carried) if support <= slots]
         prefix = [Fraction(0)] * k
         for a, b in zip(allowed, allowed[1:]):
             for s, c in enumerate(vecs.get(a, ())):
@@ -485,20 +480,18 @@ def cosheaf_kernel_decompose(locals_: Sequence[Section], cover: Cover
             if any(prefix):
                 parts.setdefault((a, b), []).append((key, list(prefix)))
 
-    # write each pair's overlap-local coefficients once; the exact audit
-    # takes f[(a, b)] off element a and f[(b, a)] = -f[(a, b)] off b
+    # read each pair's part off the union key along the overlap's slots;
+    # the exact audit takes f[(a, b)] off element a and f[(b, a)] =
+    # -f[(a, b)] off b
     out: dict[tuple[int, int], list[dict[tuple, Fraction]]] = {}
     for (a, b), pair_parts in parts.items():
-        layout = slot_layout(mems[a] & mems[b], fibers)
-        d = open_set_dim(mems[a] & mems[b], fibers)
+        slots = projection_map(fibers, U, mems[a] & mems[b]).slots
         coeffs: list[dict[tuple, Fraction]] = [dict() for _ in range(k)]
         for key, vec in pair_parts:
-            mono = [0] * d
-            for (p, j), e in key:
-                mono[layout[p][j]] = e
+            mono = tuple(key[t] for t in slots)
             for s, c in enumerate(vec):
                 if c:
-                    coeffs[s][tuple(mono)] = c
+                    coeffs[s][mono] = c
                     _accumulate(left, (a, key, s), -c)
                     _accumulate(left, (b, key, s), c)
         out[(a, b)] = coeffs
@@ -515,7 +508,8 @@ def kernel_report(cover: Cover, k: int = 1, seed: int = 0) -> WitnessReport:
     Generates random pairwise polynomials on the first three overlapping
     pairs, forms the induced zero-sum family, decomposes it, and
     verifies the exact invariants (zero sum, antisymmetry, per-element
-    reconstruction).
+    reconstruction).  A cover with no two overlapping elements raises
+    ValueError, since the audit would then check nothing.
     """
     k = _at_least("k", k)
     fibers = cover.space.fiber_dims
@@ -526,19 +520,19 @@ def kernel_report(cover: Cover, k: int = 1, seed: int = 0) -> WitnessReport:
     gen: dict[tuple[int, int], list[dict]] = {}
     pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
              if mems[i] & mems[j]]
+    if not pairs:
+        raise ValueError("no two cover elements overlap, so the kernel "
+                         "decomposition has no pair to split on")
     for (i, j) in pairs[:3]:
         d = open_set_dim(mems[i] & mems[j], fibers)
         gen[(i, j)] = _seeded_coefficients(d, k, rng)
 
-    locals_: list[Section] = []
-    for a in range(n):
-        acc = [dict() for _ in range(k)]
-        d_a = open_set_dim(mems[a], fibers)
-        for (i, j), coeffs in gen.items():
-            if a in (i, j):
-                pull = projection_map(fibers, mems[a], mems[i] & mems[j])
-                _pull_back(acc, coeffs, pull.slots, d_a, 1 if a == i else -1)
-        locals_.append(polynomial_section(d_a, k, acc))
+    # the induced family, as the coefficient tables the decomposition reads
+    locals_ = [[dict() for _ in range(k)] for _ in mems]
+    for (i, j), coeffs in gen.items():
+        for a, sign in ((i, 1), (j, -1)):
+            pull = projection_map(fibers, mems[a], mems[i] & mems[j])
+            _pull_back(locals_[a], coeffs, pull.slots, pull.source_dim, sign)
 
     try:
         family = cosheaf_kernel_decompose(locals_, cover)
@@ -547,13 +541,9 @@ def kernel_report(cover: Cover, k: int = 1, seed: int = 0) -> WitnessReport:
         family = {}
         failure = str(e)
 
-    antisym = True
-    for (a, b), ca in family.items():
-        cb = family[(b, a)]
-        for s in range(k):
-            for mono, c in ca[s].items():
-                if cb[s].get(mono, Fraction(0)) != -c:
-                    antisym = False
+    antisym = all(family[(b, a)][s].get(mono, 0) == -c
+                  for (a, b), ca in family.items()
+                  for s in range(k) for mono, c in ca[s].items())
 
     verdict = failure is None and antisym
     return WitnessReport(

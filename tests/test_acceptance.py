@@ -252,11 +252,7 @@ def test_pairwise_kernel_decomposition_round_trip():
                 ext = compose_coord(gen, projection_map(
                     fibers, mems[a], overlap))
                 _add_coeffs(acc[a], polynomial_coefficients(ext), sign)
-        locals_ = [polynomial_section(open_set_dim(mems[a], fibers), k,
-                                      acc[a])
-                   for a in range(len(mems))]
-
-        family = cosheaf_kernel_decompose(locals_, cover)
+        family = cosheaf_kernel_decompose(acc, cover)
         for (a, b), ca in family.items():
             cb = family[(b, a)]
             for s in range(k):

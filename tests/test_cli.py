@@ -386,6 +386,52 @@ def test_glue_on_a_cover_of_no_point_exits_2(capsys, tmp_path):
     assert err.startswith("error: nothing to glue") and "\n" not in err
 
 
+def test_kernel_on_a_cover_with_no_overlap_exits_2(capsys):
+    # two disjoint elements leave the decomposition no pair to split on,
+    # so its verdict would check nothing
+    code = main(["witness", "glue", "--cover", TWO])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: no two cover elements overlap") \
+        and "\n" not in err
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("cohomology", _cover_doc(fiber_dims=3),
+     "malformed space document: fiber_dims must be a list, got 3"),
+    ("cohomology", _cover_doc(covers=3),
+     "malformed space document: covers must be a list, got 3"),
+    ("cohomology", _cover_doc(covers=[[1, 2]]),
+     "malformed space document: each cover element in covers must be a "
+     "list, got 1"),
+    ("cohomology", _cover_doc(structure={"kind": "graph", "edges": [3]}),
+     "malformed space document: each edge in edges must be a list, got 3"),
+    ("thm4.2", _sumpool_doc(["stages"], 3),
+     "malformed network document: stages must be a list, got 3"),
+    ("thm4.2", _sumpool_doc(["layers", 0, "aggregation", 0], 3),
+     "malformed network document: each aggregation row must be a list, "
+     "got 3"),
+    ("thm4.2", _sumpool_doc(["layers", 0, "phi"], 3),
+     "malformed network document: phi must be a list, got 3"),
+    ("wl-compare", {"n": 3, "edges": 5},
+     "malformed graph document: edges must be a list, got 5"),
+])
+def test_wrong_shaped_json_names_its_field(capsys, tmp_path, command, doc,
+                                           message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {"cohomology": ["cohomology", "--cover", str(path)],
+            "wl-compare": ["wl-compare", str(path), P3],
+            "thm4.2": ["witness", "thm4.2", "--net", str(path)]}[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_attack_on_a_1500_deep_phi_network(capsys, tmp_path):
     # phi reads its token through 1,500 nested tanh nodes
     depth = 1_500

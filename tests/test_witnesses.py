@@ -280,26 +280,37 @@ def test_exact_mixed_difference_matches_the_evaluated_sum():
 
 def test_glue_input_validation():
     cover = triangle_cover()
+    # gluing takes Sections and the kernel decomposition coefficient
+    # tables; both go through one local-family check
     good = [affine_section(np.ones((1, 2))) for _ in cover.memberships]
+    tables = [[{(1, 0): Fraction(1)}] for _ in cover.memberships]
     wide, narrow = list(good), list(good)
     wide[0] = affine_section(np.ones((1, 3)))
     narrow[1] = affine_section(np.ones((1, 1)))
-    # gluing and the kernel decomposition share one local-family check
-    for fn in (glue_inclusion_exclusion, cosheaf_kernel_decompose):
+    wide_t, narrow_t, two_outputs = list(tables), list(tables), list(tables)
+    wide_t[0] = [{(1, 0): Fraction(1), (0, 0, 1): Fraction(1)}]
+    narrow_t[1] = [{(1,): Fraction(1)}]
+    two_outputs[2] = [{}, {(0, 1): Fraction(1)}]
+    for fn, family, bad in ((glue_inclusion_exclusion, good, (wide, narrow)),
+                            (cosheaf_kernel_decompose, tables,
+                             (wide_t, narrow_t))):
         with pytest.raises(ValueError, match="one local section per cover "
                                              "element required"):
-            fn(good[:2], cover)
+            fn(family[:2], cover)
         with pytest.raises(ValueError, match="local 0 has domain dim 3, "
                                              "expected 2"):
-            fn(wide, cover)
+            fn(bad[0], cover)
         with pytest.raises(ValueError, match="local 1 has domain dim 1, "
                                              "expected 2"):
-            fn(narrow, cover)
+            fn(bad[1], cover)
+    with pytest.raises(ValueError, match="locals must share a codomain "
+                                         "dimension"):
+        cosheaf_kernel_decompose(two_outputs, cover)
     # a zero-sum family once the third coordinate of f0 is dropped: read
     # as the constant 5 rather than rejected
     chain = make_cover(MarkedSpace(3, (1, 1, 1)), [[1, 2], [2, 3]])
-    f0 = polynomial_section(3, 1, [{(0, 1, 0): 1, (0, 0, 1): 5}])
-    f1 = polynomial_section(2, 1, [{(1, 0): -1, (0, 0): -5}])
+    f0 = [{(0, 1, 0): 1, (0, 0, 1): 5}]
+    f1 = [{(1, 0): -1, (0, 0): -5}]
     with pytest.raises(ValueError, match="local 0 has domain dim 3, "
                                          "expected 2"):
         cosheaf_kernel_decompose([f0, f1], chain)
@@ -318,8 +329,8 @@ def test_kernel_decompose_worked_example():
     sp = MarkedSpace(n_points=3, fiber_dims=(1, 1, 1))
     cover = make_cover(sp, [[1, 2], [2, 3]])
     # f0 reads the shared point's coordinate, f1 negates it
-    f0 = polynomial_section(2, 1, [{(0, 1): Fraction(1)}])
-    f1 = polynomial_section(2, 1, [{(1, 0): Fraction(-1)}])
+    f0 = [{(0, 1): Fraction(1)}]
+    f1 = [{(1, 0): Fraction(-1)}]
     family = cosheaf_kernel_decompose([f0, f1], cover)
     # monomials over the overlap, point 2 alone
     assert family == {(0, 1): [{(1,): Fraction(1)}],
@@ -339,15 +350,15 @@ def test_glue_and_decompose_demo_names_each_overlap(capsys):
 def test_kernel_decompose_zero_family():
     sp = MarkedSpace(n_points=3, fiber_dims=(1, 1, 1))
     cover = make_cover(sp, [[1, 2], [2, 3]])
-    zeros = [polynomial_section(2, 1, [{}]) for _ in cover.memberships]
+    zeros = [[{}] for _ in cover.memberships]
     assert cosheaf_kernel_decompose(zeros, cover) == {}
 
 
 def test_kernel_premise_rejects_nonzero_sum():
     sp = MarkedSpace(n_points=3, fiber_dims=(1, 1, 1))
     cover = make_cover(sp, [[1, 2], [2, 3]])
-    f0 = polynomial_section(2, 1, [{(0, 1): Fraction(1)}])
-    f1 = polynomial_section(2, 1, [{(1, 0): Fraction(1)}])
+    f0 = [{(0, 1): Fraction(1)}]
+    f1 = [{(1, 0): Fraction(1)}]
     with pytest.raises(KernelPremiseError):
         cosheaf_kernel_decompose([f0, f1], cover)
 
@@ -358,6 +369,95 @@ def test_kernel_report_round_trip():
     assert rep.measured["antisymmetric"]
     assert rep.measured["failure"] is None
     assert rep.measured["pair_count"] >= 1
+
+
+def _section_kernel_decompose(locals_, cover):
+    """Oracle: the decomposition as it read Sections.  Each monomial is
+    keyed by its sorted ((point, offset), exponent) pairs, and each
+    pair's part is rewritten into the overlap's layout point by point."""
+    k = locals_[0].codomain_dim
+    fibers = cover.space.fiber_dims
+    mems = cover.memberships
+    table, left = {}, {}
+    for a, local in enumerate(locals_):
+        layout = slot_layout(mems[a], fibers)
+        for s, poly in enumerate(polynomial_coefficients(local)):
+            for mono, c in poly.items():
+                key = tuple(((p, j), mono[t]) for p, slots in layout.items()
+                            for j, t in enumerate(slots) if mono[t])
+                table.setdefault(key, {}).setdefault(a, [Fraction(0)] * k)[s] = c
+                left[(a, key, s)] = c
+    parts = {}
+    for key, vecs in table.items():
+        if any(sum(col) for col in zip(*vecs.values())):
+            raise KernelPremiseError("extended locals do not sum to zero")
+        support = {p for (p, _off), _e in key}
+        allowed = [a for a, m in enumerate(mems) if support <= m]
+        prefix = [Fraction(0)] * k
+        for a, b in zip(allowed, allowed[1:]):
+            for s, c in enumerate(vecs.get(a, ())):
+                prefix[s] += c
+            if any(prefix):
+                parts.setdefault((a, b), []).append((key, list(prefix)))
+    out = {}
+    for (a, b), pair_parts in parts.items():
+        layout = slot_layout(mems[a] & mems[b], fibers)
+        coeffs = [dict() for _ in range(k)]
+        for key, vec in pair_parts:
+            mono = [0] * open_set_dim(mems[a] & mems[b], fibers)
+            for (p, j), e in key:
+                mono[layout[p][j]] = e
+            for s, c in enumerate(vec):
+                if c:
+                    coeffs[s][tuple(mono)] = c
+                    _accumulate(left, (a, key, s), -c)
+                    _accumulate(left, (b, key, s), c)
+        out[(a, b)] = coeffs
+        out[(b, a)] = [{m: -c for m, c in per.items()} for per in coeffs]
+    assert not left
+    return out
+
+
+def test_table_decomposition_matches_the_section_route():
+    """Zero-sum families built from random parts on random element
+    pairs (constants on disjoint pairs included) split into the same
+    family from tables as from Sections, on the acceptance
+    covers and 200 random covers with fibers 1-2 and k in {1, 2}; a
+    family with one monomial added to one element is refused by both."""
+    rng = np.random.default_rng(41)
+    cases = [(c.space.fiber_dims, c.memberships) for c, _ in sweep_covers()]
+    for mems in random_memberships(count=200, seed=43):
+        n = max((p for m in mems for p in m), default=1)
+        cases.append((tuple(int(f) for f in rng.integers(1, 3, size=n)), mems))
+    split = 0
+    for fibers, mems in cases:
+        cover = make_cover(MarkedSpace(len(fibers), fibers), mems)
+        k = int(rng.integers(1, 3))
+        tables = [[dict() for _ in range(k)] for _ in mems]
+        for i, j in itertools.combinations(range(len(mems)), 2):
+            if rng.random() < 0.5:
+                w = mems[i] & mems[j]
+                part = _random_coefficients(rng, open_set_dim(w, fibers), k,
+                                            3, 3)
+                for a, sign in ((i, 1), (j, -1)):
+                    cmap = projection_map(fibers, mems[a], w)
+                    witnesses._pull_back(tables[a], part, cmap.slots,
+                                         cmap.source_dim, sign)
+        sections = [polynomial_section(open_set_dim(m, fibers), k, t)
+                    for m, t in zip(mems, tables)]
+        got = cosheaf_kernel_decompose(tables, cover)
+        assert got == _section_kernel_decompose(sections, cover)
+        split += bool(got)
+        extra = [dict(t) for t in tables[0]]
+        _accumulate(extra[0], (1,) * open_set_dim(mems[0], fibers), Fraction(1))
+        bumped = [extra] + tables[1:]
+        for fn, family in ((cosheaf_kernel_decompose, bumped),
+                           (_section_kernel_decompose,
+                            [polynomial_section(sections[0].domain_dim, k, extra)]
+                            + sections[1:])):
+            with pytest.raises(KernelPremiseError):
+                fn(family, cover)
+    assert len(cases) == 289 and split > 150
 
 
 def _section_route(parts, k: int):
@@ -421,7 +521,10 @@ def _reports(covers, seeds):
                                                 k, n_trials=5, seed=seed))
             except ValueError as e:
                 out.append(str(e))
-            out.append(kernel_report(cover, k, seed=seed))
+            try:
+                out.append(kernel_report(cover, k, seed=seed))
+            except ValueError as e:  # no two elements overlap
+                out.append(str(e))
     return [r if isinstance(r, str) else r.to_json() for r in out]
 
 
